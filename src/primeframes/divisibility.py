@@ -8,6 +8,33 @@ candidate subsets in a fixed order, so every answer is deterministic:
 sizes ascending, and within one size the subsets containing column 1 by
 ascending bitmask value over the remaining columns.
 
+Every search runs through one kernel that screens subsets in chunks and
+then re-decides each subset that passes the screen.  Each column
+contributes the traceless part of phi_i phi_i^* as a real vector whose
+Euclidean norm is its Frobenius norm, together with ||phi_i||^2.  Summing
+these over a chunk of subsets is one matrix product, which gives for
+each subset J the traceless part T_J of S_J = Phi_J Phi_J^*, its fitted
+bound A_J and ||S_J||^2 = ||T_J||^2 + n A_J^2 (this sum of squares does
+not cancel the way ||S_J||^2 - n A_J^2 would).  A subset passes when
+
+    ||T_J|| <= (tol + delta) ||S_J||  and
+    tol - delta B < A_J < B - tol + delta B,
+
+with B the bound of the frame searched (infinite when no split is
+asked for) and delta = 1e-12.  Every subset that passes is re-decided,
+in enumeration order, by the exact rule of ``check_tight``: relative
+residual at most tol and tol < A_J < B - tol.  That rule alone accepts a
+subset.  The screen's rounding error is about m sqrt(n) machine epsilon
+relative to ||S_J|| and to B, far below delta, so for any tol > 0 no
+subset that the exact rule accepts is screened out.  Answers, first
+certificates and the meaning of tol are those of checking every subset
+with the exact rule.
+
+Subsets are produced from their colex ranks through the combinatorial
+number system; within one size, colex rank order is ascending bitmask
+order.  Chunks start small and grow, so a search that ends at an early
+certificate stays cheap, and a size class is never held in memory whole.
+
 Brute-force enumeration is exponential in m, so searches refuse frames
 with more than SEARCH_CAP vectors unless forced.
 """
@@ -15,15 +42,20 @@ with more than SEARCH_CAP vectors unless forced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from functools import lru_cache
+from math import comb, sqrt
 
 import numpy as np
 
 from .errors import NotTightError, SearchCapError
-from .frames import DEFAULT_TOL, FrameMatrix, _bound_and_residual, check_tight
+from .frames import DEFAULT_TOL, FrameMatrix, _bound_and_residual
 
 SEARCH_CAP = 26
+
+_DELTA = 1e-12
+_FIRST_CHUNK = 16
+_MAX_CHUNK = 4096
+_RANK_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -63,44 +95,121 @@ class PrimeFactorization:
         }
 
 
-def _masks(width: int, bits: int):
-    """All masks of the given popcount below 2**width, ascending (Gosper)."""
-    if bits == 0:
-        yield 0
-        return
-    if bits > width:
-        return
-    mask = (1 << bits) - 1
-    limit = 1 << width
-    while mask < limit:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) // low) >> 2)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
-def _mask_to_indices(mask: int) -> list:
-    """Bit positions of a mask as 0-based column indices 1, 2, ... (column
-    0 is implied separately by the pinned-first-column search)."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
+@lru_cache(maxsize=None)
+def _upper(n: int) -> tuple:
+    return tuple(_frozen(a) for a in np.triu_indices(n, 1))
+
+
+@lru_cache(maxsize=None)
+def _binomials(width: int) -> np.ndarray:
+    """Row j holds C(c, j) for c = 0 .. width - 1, saturated at
+    _RANK_LIMIT so that every entry fits in int64."""
+    return _frozen(np.array(
+        [[min(comb(c, j), _RANK_LIMIT) for c in range(width)]
+         for j in range(width + 1)], dtype=np.int64).reshape(width + 1, width))
+
+
+def _coordinates(entries: np.ndarray) -> np.ndarray:
+    """One row per column: the traceless part of phi_i phi_i^* as a real,
+    Frobenius-isometric vector, then ||phi_i||^2 in the last place."""
+    n = entries.shape[0]
+    power = entries.real ** 2 + entries.imag ** 2
+    trace = power.sum(axis=0)
+    rows, cols = _upper(n)
+    off = entries[rows] * entries[cols].conj()
+    parts = [power - trace / n, sqrt(2.0) * off.real]
+    if np.any(off.imag):
+        parts.append(sqrt(2.0) * off.imag)
+    parts.append(trace[None, :])
+    return np.ascontiguousarray(np.vstack(parts).T)
+
+
+def _unrank(ranks: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
+    """Pool positions of the k-subsets with the given colex ranks, one
+    row per element from the lowest up, one column per rank
+    (combinatorial number system)."""
+    out = np.empty((k, len(ranks)), dtype=np.intp)
+    rest = ranks.copy()
+    for j in range(k, 0, -1):
+        column = table[j]
+        pos = column.searchsorted(rest, "right")
+        pos -= 1
+        out[j - 1] = pos
+        rest -= column.take(pos)
     return out
 
 
-def _subset_stats(entries: np.ndarray, idx0) -> tuple[float, float]:
-    return _bound_and_residual(entries[:, idx0])
+def _tight_parts(entries, coords, cols, sizes, pinned, bound, tol):
+    """Every subset of ``cols`` that the exact rule accepts, in search order.
+
+    ``cols`` are ascending 0-based column indices of ``entries`` and
+    ``coords`` is ``_coordinates(entries)``.  Sizes come in the given
+    order; with ``pinned`` every subset holds cols[0].  Within one size
+    the subsets go by ascending colex rank over the other columns.
+    Yields (ascending index list, subset bound) for each subset with
+    relative residual <= tol and tol < bound < ``bound`` - tol.
+    """
+    n = entries.shape[0]
+    cols = np.asarray(cols, dtype=np.intp)
+    lead = cols[:1] if pinned else cols[:0]
+    pool = cols[len(lead):]
+    lead = lead.tolist()
+    width = len(pool)
+    points = coords[pool]
+    base = coords[lead].sum(axis=0)
+    d = coords.shape[1] - 1
+    slack = (tol + _DELTA) ** 2
+    low = tol - _DELTA * bound
+    high = bound - tol + _DELTA * bound
+    table = _binomials(width)
+    chunk = _FIRST_CHUNK
+    for size in sizes:
+        k = size - len(lead)
+        total = comb(width, k)
+        if total >= _RANK_LIMIT:
+            raise SearchCapError(
+                "%d subsets of size %d are too many to enumerate"
+                % (total, size))
+        start = 0
+        while start < total:
+            stop = min(start + chunk, total)
+            members = _unrank(np.arange(start, stop, dtype=np.int64), k,
+                              table)
+            picks = np.zeros((stop - start, width))
+            picks.ravel()[members + width * np.arange(stop - start)] = 1.0
+            sums = picks @ points
+            sums += base
+            traceless = sums[:, :d]
+            t2 = np.einsum("ij,ij->i", traceless, traceless)
+            a = sums[:, d] / n
+            passed = (t2 <= slack * (t2 + n * a * a)) & (low < a) & (a < high)
+            for row in np.flatnonzero(passed):
+                idx = lead + pool[members[:, row]].tolist()
+                sub_bound, residual = _bound_and_residual(entries[:, idx])
+                if residual <= tol and tol < sub_bound < bound - tol:
+                    yield idx, sub_bound
+            start = stop
+            chunk = min(2 * chunk, _MAX_CHUNK)
+
+
+def _tight_bound(entries: np.ndarray, tol: float) -> float:
+    bound, residual = _bound_and_residual(entries)
+    if not (residual <= tol and bound > tol):
+        raise NotTightError(
+            "input is not a tight frame (residual %.3e, tol %.1e)"
+            % (residual, tol))
+    return bound
 
 
 def _require_tight(phi: FrameMatrix, tol: float) -> float:
-    report = check_tight(phi, tol)
-    if not report.is_tight:
-        raise NotTightError(
-            "input is not a tight frame (residual %.3e, tol %.1e)"
-            % (report.residual, tol))
-    return report.bound
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return _tight_bound(phi.entries, tol)
 
 
 def _check_cap(m: int, force: bool):
@@ -108,6 +217,34 @@ def _check_cap(m: int, force: bool):
         raise SearchCapError(
             "m = %d exceeds the subset search cap %d; pass force=True to "
             "search anyway" % (m, SEARCH_CAP))
+
+
+def _rest(cols, part) -> list:
+    taken = set(part)
+    return [i for i in cols if i not in taken]
+
+
+def _check_complement(entries: np.ndarray, cols, part, tol: float):
+    """Raise unless the columns of ``cols`` outside ``part`` are tight."""
+    if _bound_and_residual(entries[:, _rest(cols, part)])[1] > tol:
+        raise NotTightError("complement failed its tightness check")
+
+
+def _first_divisor(entries, coords, cols, bound, tol, sizes=None):
+    """First divisor of the frame on ``cols`` (0-based, ascending) with
+    bound ``bound``, as (index list, subset bound), or None if prime.
+
+    Subsets hold cols[0] and go by size, then ascending bitmask; by
+    default every size in [n, len(cols) - n] is searched.
+    """
+    n = entries.shape[0]
+    if sizes is None:
+        sizes = range(n, len(cols) - n + 1)
+    for part, sub_bound in _tight_parts(entries, coords, cols, sizes, True,
+                                        bound, tol):
+        _check_complement(entries, cols, part, tol)
+        return part, sub_bound
+    return None
 
 
 def find_divisor(phi: FrameMatrix, size_filter: int | None = None,
@@ -122,21 +259,18 @@ def find_divisor(phi: FrameMatrix, size_filter: int | None = None,
     bound = _require_tight(phi, tol)
     _check_cap(phi.m, force)
     n, m = phi.n, phi.m
+    sizes = None
     if size_filter is not None:
         if not n <= size_filter <= m - n:
             raise ValueError("size_filter must lie in [n, m - n]")
         sizes = sorted({size_filter, m - size_filter})
-    else:
-        sizes = range(n, m - n + 1)
-    entries = phi.entries
-    for size in sizes:
-        for mask in _masks(m - 1, size - 1):
-            idx0 = [0] + _mask_to_indices(mask)
-            sub_bound, residual = _subset_stats(entries, idx0)
-            if residual <= tol and tol < sub_bound < bound - tol:
-                subset = tuple(i + 1 for i in idx0)
-                return complement_certificate(phi, subset, tol)
-    return None
+    found = _first_divisor(phi.entries, _coordinates(phi.entries), range(m),
+                           bound, tol, sizes)
+    if found is None:
+        return None
+    part, sub_bound = found
+    return DivisorCertificate(tuple(i + 1 for i in part), len(part),
+                              sub_bound, bound - sub_bound)
 
 
 def is_prime_bruteforce(phi: FrameMatrix, tol: float = DEFAULT_TOL,
@@ -146,8 +280,7 @@ def is_prime_bruteforce(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     With fewer than 2n vectors no proper subset can be tight with a tight
     complement (the smaller part could not span), so the search is skipped.
     """
-    bound = _require_tight(phi, tol)
-    del bound
+    _require_tight(phi, tol)
     if phi.m < 2 * phi.n:
         return True
     return find_divisor(phi, None, tol, force) is None
@@ -165,14 +298,10 @@ def complement_certificate(phi: FrameMatrix, subset,
     if not 0 < len(subset) < phi.m:
         raise ValueError("subset must be proper and nonempty")
     idx0 = [i - 1 for i in subset]
-    sub_bound, residual = _subset_stats(phi.entries, idx0)
+    sub_bound, residual = _bound_and_residual(phi.entries[:, idx0])
     if residual > tol or not tol < sub_bound < bound - tol:
         raise NotTightError("subset is not a divisor of the frame")
-    rest = [i for i in range(phi.m) if i + 1 not in set(subset)]
-    rest_bound, rest_residual = _subset_stats(phi.entries, rest)
-    if rest_residual > tol:
-        raise NotTightError("complement failed its tightness check")
-    del rest_bound
+    _check_complement(phi.entries, range(phi.m), idx0, tol)
     return DivisorCertificate(subset, len(subset), sub_bound, bound - sub_bound)
 
 
@@ -185,31 +314,33 @@ def prime_factorization(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     affect tightness; they are set aside and attached to the final
     factor.  The factor count never exceeds floor(m / n).
     """
-    bound = _require_tight(phi, tol)
-    del bound
+    _require_tight(phi, tol)
     _check_cap(phi.m, force)
-    zero = [i for i in range(1, phi.m + 1)
-            if not np.any(phi.entries[:, i - 1])]
-    nonzero = [i for i in range(1, phi.m + 1) if i not in set(zero)]
+    n, entries = phi.n, phi.entries
+    live = np.any(entries, axis=0)
+    zero = tuple(int(i) + 1 for i in np.flatnonzero(~live))
+    coords = _coordinates(entries)
     factors = []
     bounds = []
 
-    def split(indices):
-        sub = phi.submatrix(indices)
-        cert = None if sub.m < 2 * sub.n else find_divisor(sub, None, tol, True)
-        if cert is None:
-            factors.append(tuple(indices))
-            bounds.append(_subset_stats(phi.entries, [i - 1 for i in indices])[0])
+    def split(cols):
+        found = None
+        if len(cols) >= 2 * n:
+            bound = _tight_bound(entries[:, cols], tol)
+            found = _first_divisor(entries, coords, cols, bound, tol)
+        else:
+            bound = _bound_and_residual(entries[:, cols])[0]
+        if found is None:
+            factors.append(tuple(i + 1 for i in cols))
+            bounds.append(bound)
             return
-        part = [indices[j - 1] for j in cert.subset]
-        rest = [i for i in indices if i not in set(part)]
+        part = found[0]
         split(part)
-        split(rest)
+        split(_rest(cols, part))
 
-    split(nonzero)
+    split(np.flatnonzero(live).tolist())
     if zero:
-        merged = tuple(sorted(factors[-1] + tuple(zero)))
-        factors[-1] = merged
+        factors[-1] = tuple(sorted(factors[-1] + zero))
     return PrimeFactorization(tuple(factors), tuple(bounds))
 
 
@@ -223,42 +354,32 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     """
     _require_tight(phi, tol)
     _check_cap(phi.m, force)
-    n = phi.n
-    entries = phi.entries
-    nonzero = tuple(i for i in range(1, phi.m + 1)
-                    if np.any(entries[:, i - 1]))
+    n, entries = phi.n, phi.entries
+    coords = _coordinates(entries)
     memo = {}
 
-    def qualifies(idx0, parent_bound):
-        sub_bound, residual = _subset_stats(entries, idx0)
-        return (residual <= tol and tol < sub_bound < parent_bound - tol,
-                sub_bound)
-
-    def solve(rem: frozenset) -> set:
+    def solve(rem: tuple) -> set:
         if rem in memo:
             return memo[rem]
-        indices = sorted(rem)
-        parent_bound, _ = _subset_stats(entries, [i - 1 for i in indices])
-        first, pool = indices[0], indices[1:]
+        parent_bound = _bound_and_residual(entries[:, rem])[0]
         out = set()
         divisible = False
-        for size in range(n, len(indices) - n + 1):
-            for tail in combinations(pool, size - 1):
-                part = (first,) + tail
-                ok, _ = qualifies([i - 1 for i in part], parent_bound)
-                if not ok:
-                    continue
-                divisible = True
-                if not is_prime_bruteforce(phi.submatrix(part), tol, True):
-                    continue
-                for sizes in solve(rem - set(part)):
-                    out.add(tuple(sorted(sizes + (size,))))
+        for part, part_bound in _tight_parts(
+                entries, coords, rem, range(n, len(rem) - n + 1), True,
+                parent_bound, tol):
+            divisible = True
+            if len(part) >= 2 * n and _first_divisor(
+                    entries, coords, part, part_bound, tol) is not None:
+                continue
+            for sizes in solve(tuple(_rest(rem, part))):
+                out.add(tuple(sorted(sizes + (len(part),))))
         if not divisible:
-            out = {(len(indices),)}
+            out = {(len(rem),)}
         memo[rem] = out
         return out
 
-    return sorted(solve(frozenset(nonzero)))
+    return sorted(solve(tuple(np.flatnonzero(np.any(entries, axis=0))
+                              .tolist())))
 
 
 def tight_subsets(phi: FrameMatrix, size: int, tol: float = DEFAULT_TOL,
@@ -267,13 +388,9 @@ def tight_subsets(phi: FrameMatrix, size: int, tol: float = DEFAULT_TOL,
     if not 1 <= size <= phi.m:
         raise ValueError("size out of range")
     _check_cap(phi.m, force)
-    entries = phi.entries
-    out = []
-    for subset in combinations(range(phi.m), size):
-        bound, residual = _subset_stats(entries, list(subset))
-        if residual <= tol and bound > tol:
-            out.append(tuple(i + 1 for i in subset))
-    return out
+    hits = _tight_parts(phi.entries, _coordinates(phi.entries),
+                        range(phi.m), (size,), False, np.inf, tol)
+    return sorted(tuple(i + 1 for i in part) for part, _ in hits)
 
 
 def robustness_counterexample_check(phi: FrameMatrix, p: int,

@@ -24,8 +24,8 @@ class FrameMatrix:
     """Immutable n x m frame matrix, columns are the frame vectors.
 
     ``field`` is "real" or "complex"; "real" asserts that every imaginary
-    part is exactly zero.  Entries are stored complex128 either way and
-    frozen after construction.
+    part is exactly zero.  Entries must be finite; they are stored
+    complex128 either way and frozen after construction.
     """
 
     entries: np.ndarray
@@ -37,6 +37,8 @@ class FrameMatrix:
             raise ValueError("entries must be a 2-d array with n, m >= 1")
         if self.field not in ("real", "complex"):
             raise ValueError("field must be 'real' or 'complex'")
+        if not np.isfinite(arr).all():
+            raise ValueError("entries must be finite (no NaN or inf)")
         if self.field == "real" and np.any(arr.imag != 0.0):
             raise ValueError("field 'real' requires exactly zero imaginary parts")
         arr.flags.writeable = False

@@ -83,17 +83,38 @@ def frame_to_json_obj(phi: FrameMatrix) -> dict:
     }
 
 
+def _required(obj, key: str, kind: type, what: str):
+    """obj[key] after checking that obj is a JSON object holding it as
+    ``kind``; raises ValueError naming the field otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object, got %s" % type(obj).__name__)
+    if key not in obj:
+        raise ValueError("missing field %r" % key)
+    val = obj[key]
+    if not isinstance(val, kind) or isinstance(val, bool):
+        raise ValueError("field %r must be %s" % (key, what))
+    return val
+
+
 def frame_from_json_obj(obj) -> FrameMatrix:
-    n, m = int(obj["n"]), int(obj["m"])
-    field = obj["field"]
-    columns = obj["columns"]
-    if len(columns) != m or any(len(c) != n for c in columns):
-        raise ValueError("column data does not match the declared n, m")
+    n = _required(obj, "n", int, "an integer")
+    m = _required(obj, "m", int, "an integer")
+    field = _required(obj, "field", str, "a string")
+    columns = _required(obj, "columns", list, "a list of columns")
+    try:
+        if len(columns) != m or any(len(c) != n for c in columns):
+            raise ValueError("column data does not match the declared n, m")
+    except TypeError:
+        raise ValueError("field 'columns' must be a list of lists") from None
     entries = np.empty((n, m), dtype=np.complex128)
-    for k, col in enumerate(columns):
-        for t, pair in enumerate(col):
-            re, im = pair
-            entries[t, k] = complex(float(re), float(im))
+    try:
+        for k, col in enumerate(columns):
+            for t, pair in enumerate(col):
+                re, im = pair
+                entries[t, k] = complex(float(re), float(im))
+    except (TypeError, ValueError):
+        raise ValueError("field 'columns' must hold [re, im] number "
+                         "pairs") from None
     return FrameMatrix(entries, field)
 
 
@@ -122,11 +143,16 @@ def vector_to_json_obj(vec) -> dict:
 
 
 def vector_from_json_obj(obj) -> np.ndarray:
-    entries = obj["entries"]
-    if int(obj["n"]) != len(entries):
+    n = _required(obj, "n", int, "an integer")
+    entries = _required(obj, "entries", list, "a list of [re, im] pairs")
+    if n != len(entries):
         raise ValueError("entry count does not match the declared length")
-    return np.array([complex(float(re), float(im)) for re, im in entries],
-                    dtype=np.complex128)
+    try:
+        return np.array([complex(float(re), float(im)) for re, im in entries],
+                        dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValueError("field 'entries' must hold [re, im] number "
+                         "pairs") from None
 
 
 def vector_to_csv(vec) -> str:

@@ -176,8 +176,7 @@ def stf_low_redundancy(n: int, m_tilde: int) -> FrameMatrix:
     """
     if not n < m_tilde < 2 * n:
         raise ValueError("need n < m_tilde < 2n")
-    lam, _, ones, remainders = _schedule_seqs(n, m_tilde)
-    del lam
+    _, _, ones, remainders = _schedule_seqs(n, m_tilde)
     out, _ = _assemble(n, m_tilde, ones, remainders)
     return FrameMatrix(out.astype(np.complex128), "real")
 

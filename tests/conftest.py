@@ -2,9 +2,11 @@
 
 import math
 import os
+import subprocess
 
 import numpy as np
 
+import primeframes
 from primeframes import FrameMatrix
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -42,3 +44,12 @@ def columns_as_multiset(entries: np.ndarray, decimals: int = 10) -> list:
     """Columns as a sorted list of rounded tuples, for order-free comparison."""
     cols = [tuple(np.round(entries[:, k], decimals)) for k in range(entries.shape[1])]
     return sorted(cols, key=lambda c: [(z.real, z.imag) for z in c])
+
+
+def run_subprocess(argv):
+    """Run argv so that a child interpreter imports the primeframes this
+    suite imported, whether or not PYTHONPATH was exported."""
+    pythonpath = [os.path.dirname(os.path.dirname(primeframes.__file__)),
+                  os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    return subprocess.run(argv, capture_output=True, text=True, env=env)

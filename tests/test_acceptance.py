@@ -8,13 +8,13 @@ are pinned; do not loosen them.
 import json
 import math
 import os
-import subprocess
 import sys
 import time
 
 import numpy as np
 
-from conftest import DATA_DIR, columns_as_multiset, hexagon_frame, mercedes_frame
+from conftest import (DATA_DIR, columns_as_multiset, hexagon_frame,
+                      mercedes_frame, run_subprocess)
 from primeframes import (HtfParams, check_equiangular, check_tight,
                          complement_certificate, divisor_sets, find_divisor,
                          htf, htf_coherence, htf_divisor_of_size, htf_is_prime,
@@ -57,10 +57,9 @@ def run_criterion(num, label, limit_s, body):
 
 def test_criterion_01_sparse_4x11_matrix_via_cli():
     def body():
-        proc = subprocess.run(
+        proc = run_subprocess(
             [sys.executable, "-m", "primeframes", "stf",
-             "--n", "4", "--m", "11", "--format", "csv"],
-            capture_output=True, text=True)
+             "--n", "4", "--m", "11", "--format", "csv"])
         assert proc.returncode == 0, proc.stderr
         phi = frame_from_csv(proc.stdout)
         assert phi.entries.shape == (4, 11)

@@ -1,13 +1,12 @@
 import json
 import os
 import shutil
-import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import primeframes
+from conftest import run_subprocess
 from primeframes import HtfParams, coherence, htf, stf
 from primeframes.cli import main
 from primeframes.io import (frame_from_csv, frame_from_json_obj, read_frame,
@@ -117,6 +116,26 @@ def test_analyze_rejects_non_tight_input(tmp_path, capsys):
 def test_analyze_missing_file(capsys):
     code, _, err = run_cli(capsys, ["analyze", "--input", "/nonexistent.json"])
     assert code == 1 and err.startswith("error:")
+
+
+def test_analyze_rejects_non_finite_csv(tmp_path, capsys):
+    path = os.path.join(tmp_path, "nan.csv")
+    with open(path, "w") as handle:
+        handle.write("1+0j,nan+0j\n0+0j,1+0j\n")
+    code, out, err = run_cli(capsys, ["analyze", "--input", path])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_analyze_rejects_malformed_json_without_traceback(tmp_path, capsys):
+    for text, field in (('{"m": 2}', "'n'"), ("[1, 2]", "JSON object")):
+        path = os.path.join(tmp_path, "bad.json")
+        with open(path, "w") as handle:
+            handle.write(text)
+        code, out, err = run_cli(capsys, ["analyze", "--input", path])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
 
 
 def perturbed_frame_path(tmp_path):
@@ -285,15 +304,6 @@ def test_domain_errors_exit_with_one(capsys):
     code, _, err = run_cli(capsys, ["random", "--n", "3", "--m", "2",
                                     "--seed", "0"])
     assert code == 1
-
-
-def run_subprocess(argv):
-    """Run argv so that a child interpreter imports the primeframes this
-    suite imported, whether or not PYTHONPATH was exported."""
-    pythonpath = [os.path.dirname(os.path.dirname(primeframes.__file__)),
-                  os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
 def test_module_entry_point():

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -6,10 +7,12 @@ import pytest
 
 from conftest import hexagon_frame, mercedes_frame
 from primeframes import (FrameMatrix, HtfParams, NotTightError, SearchCapError,
-                         check_tight, complement_certificate, find_divisor,
-                         htf, is_prime_bruteforce, prime_factor_size_multisets,
-                         prime_factorization, random_tight_frame,
-                         robustness_counterexample_check, tight_subsets)
+                         check_tight, complement_certificate, dft_row_frame,
+                         find_divisor, htf, is_prime_bruteforce,
+                         prime_factor_size_multisets, prime_factorization,
+                         prime_parseval_extension, random_tight_frame,
+                         robustness_counterexample_check, stf, tight_subsets)
+from primeframes.divisibility import _FIRST_CHUNK, _coordinates
 from primeframes.frames import _bound_and_residual
 
 HEXAGON_TIGHT_TRIPLES = [
@@ -221,3 +224,230 @@ def test_certificate_counts_match_unpinned_reference():
                 cert = complement_certificate(phi, subset)
                 assert cert.subset == subset
                 assert comb(phi.m, size) >= len(tight_subsets(phi, size))
+
+
+# --- the batched kernel against the per-subset exact rule -------------------
+
+EQUIVALENCE_TOLS = (1e-13, 1e-9, 1e-6)
+
+
+def exact_rule(entries, idx0, parent_bound, tol):
+    """The per-subset decision every search must reproduce, and the
+    subset's bound."""
+    bound, residual = _bound_and_residual(entries[:, list(idx0)])
+    return residual <= tol and tol < bound < parent_bound - tol, bound
+
+
+def ascending_masks(pool, k):
+    """k-subsets of the pool in ascending bitmask order of their positions."""
+    return sorted(combinations(pool, k),
+                  key=lambda c: sum(1 << pool.index(i) for i in c))
+
+
+def reference_find_divisor(phi, tol, sizes=None):
+    """Per-subset loop in the documented order: sizes ascending, column 1
+    pinned, masks ascending; the first accepted subset is certified."""
+    entries = phi.entries
+    report = check_tight(phi, tol)
+    if not report.is_tight:
+        raise NotTightError("not tight")
+    bound = report.bound
+    if sizes is None:
+        sizes = range(phi.n, phi.m - phi.n + 1)
+    pool = list(range(1, phi.m))
+    for size in sizes:
+        for tail in ascending_masks(pool, size - 1):
+            idx0 = (0,) + tail
+            if exact_rule(entries, idx0, bound, tol)[0]:
+                return complement_certificate(phi, [i + 1 for i in idx0], tol)
+    return None
+
+
+def reference_tight_subsets(phi, size, tol):
+    out = []
+    for idx0 in combinations(range(phi.m), size):
+        bound, residual = _bound_and_residual(phi.entries[:, list(idx0)])
+        if residual <= tol and bound > tol:
+            out.append(tuple(i + 1 for i in idx0))
+    return out
+
+
+def reference_multisets(phi, tol):
+    """The census by recursive per-subset loops, one level per factor."""
+    entries = phi.entries
+    n = phi.n
+    memo = {}
+
+    def is_prime(part):
+        if len(part) < 2 * n:
+            return True
+        cert = reference_find_divisor(phi.submatrix([i + 1 for i in part]),
+                                      tol)
+        return cert is None
+
+    def solve(rem):
+        if rem in memo:
+            return memo[rem]
+        indices = sorted(rem)
+        parent_bound = _bound_and_residual(entries[:, indices])[0]
+        out = set()
+        divisible = False
+        for size in range(n, len(indices) - n + 1):
+            for tail in combinations(indices[1:], size - 1):
+                part = (indices[0],) + tail
+                if not exact_rule(entries, part, parent_bound, tol)[0]:
+                    continue
+                divisible = True
+                if not is_prime(part):
+                    continue
+                for sizes in solve(rem - set(part)):
+                    out.add(tuple(sorted(sizes + (size,))))
+        if not divisible:
+            out = {(len(indices),)}
+        memo[rem] = out
+        return out
+
+    live = [i for i in range(phi.m) if np.any(entries[:, i])]
+    return sorted(solve(frozenset(live)))
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's value, or the type of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (NotTightError, ValueError) as exc:
+        return type(exc)
+
+
+def equivalence_frames():
+    out = [random_tight_frame(n, m, seed)
+           for n, m in ((2, 5), (2, 7), (3, 8), (3, 9))
+           for seed in range(2)]
+    out += [dft_row_frame(2, 5), dft_row_frame(3, 7), dft_row_frame(2, 11)]
+    out += [htf(HtfParams(n, m)) for n, m in ((2, 6), (2, 8), (3, 9), (2, 10))]
+    out += [stf(2, 5), stf(2, 6), stf(3, 7), stf(3, 9)]
+    out += [prime_parseval_extension(2, 5), prime_parseval_extension(3, 8)]
+    basis = random_tight_frame(2, 4, 3).entries
+    out.append(FrameMatrix.from_array(np.hstack([basis, basis])))
+    out.append(FrameMatrix.from_array(
+        np.hstack([basis[:, :2], np.zeros((2, 2)), basis[:, 2:]])))
+    out.append(FrameMatrix.from_array(
+        np.hstack([htf(HtfParams(2, 4)).entries] * 2 + [np.zeros((2, 1))])))
+    return out
+
+
+@pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
+def test_kernel_find_divisor_matches_per_subset_loop(tol):
+    for phi in equivalence_frames():
+        got = outcome(find_divisor, phi, tol=tol)
+        assert got == outcome(reference_find_divisor, phi, tol)
+        if phi.n <= phi.m // 2 <= phi.m - phi.n:
+            half = phi.m // 2
+            sizes = sorted({half, phi.m - half})
+            assert (outcome(find_divisor, phi, size_filter=half, tol=tol)
+                    == outcome(reference_find_divisor, phi, tol, sizes))
+
+
+@pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
+def test_kernel_tight_subsets_matches_per_subset_loop(tol):
+    for phi in equivalence_frames():
+        for size in sorted({1, phi.n, phi.m // 2, phi.m - phi.n, phi.m}):
+            if 1 <= size <= phi.m:
+                assert (tight_subsets(phi, size, tol)
+                        == reference_tight_subsets(phi, size, tol))
+
+
+@pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
+def test_kernel_size_multisets_match_per_subset_loop(tol):
+    for phi in equivalence_frames():
+        if phi.m <= 9:
+            assert (outcome(prime_factor_size_multisets, phi, tol)
+                    == outcome(reference_multisets, phi, tol))
+
+
+def test_tight_subsets_listed_in_lexicographic_order():
+    # a frame with a repeated column pair: many tight subsets, listed in
+    # lexicographic order whatever order the kernel found them in
+    phi = FrameMatrix.from_array(np.hstack([np.eye(2)] * 3))
+    assert tight_subsets(phi, 2) == reference_tight_subsets(phi, 2, 1e-9)
+    assert len(tight_subsets(phi, 2)) == 9
+
+
+def test_coordinates_give_bound_and_residual_of_every_subset():
+    # summed coordinates of a subset are the traceless part of S_J, then
+    # n A_J; their norms give the exact rule's bound and residual
+    rng = np.random.default_rng(5)
+    unitary = np.linalg.qr(rng.standard_normal((3, 3))
+                           + 1j * rng.standard_normal((3, 3)))[0]
+    complex_frame = FrameMatrix.from_array(
+        unitary @ random_tight_frame(3, 9, 1).entries)
+    for phi in (dft_row_frame(3, 7), complex_frame, stf(3, 7),
+                htf(HtfParams(2, 6))):
+        coords = _coordinates(phi.entries)
+        for _ in range(20):
+            size = int(rng.integers(1, phi.m + 1))
+            idx0 = sorted(rng.choice(phi.m, size, replace=False).tolist())
+            total = coords[idx0].sum(axis=0)
+            bound = total[-1] / phi.n
+            s_norm = np.sqrt(total[:-1] @ total[:-1] + phi.n * bound ** 2)
+            ref_bound, ref_residual = _bound_and_residual(
+                phi.entries[:, idx0])
+            assert abs(bound - ref_bound) <= 1e-13 * s_norm
+            assert abs(np.linalg.norm(total[:-1]) / s_norm
+                       - ref_residual) <= 1e-13
+
+
+def test_kernel_agrees_at_the_tolerance_boundary():
+    # one frame whose divisor {1, 3} has a residual of about 1e-7, one whose
+    # divisor {1, 2} has a bound of 1e-7; tol sits on the exact rule's own
+    # value for that subset and one float below it, so the verdict flips
+    # between the two and the screen must let the subset through at both
+    nearly = htf(HtfParams(2, 4)).entries.copy()
+    nearly[:, 0] *= 1 + 1e-7
+    small = np.sqrt(1e-7)
+    cases = [(FrameMatrix.from_array(nearly), (0, 2), 1),
+             (FrameMatrix.from_columns([(small, 0), (0, small), (1, 0),
+                                        (0, 1)]), (0, 1), 0)]
+    for phi, subset, which in cases:
+        value = _bound_and_residual(phi.entries[:, list(subset)])[which]
+        for tol in (value, np.nextafter(value, 0.0)):
+            assert check_tight(phi, tol).is_tight
+            assert (outcome(find_divisor, phi, tol=tol)
+                    == outcome(reference_find_divisor, phi, tol))
+            assert (tight_subsets(phi, 2, tol)
+                    == reference_tight_subsets(phi, 2, tol))
+            assert (outcome(prime_factor_size_multisets, phi, tol)
+                    == outcome(reference_multisets, phi, tol))
+        verdicts = [find_divisor(phi, tol=t) is None
+                    for t in (value, np.nextafter(value, 0.0))]
+        assert verdicts == ([False, True] if which else [True, False])
+
+
+def test_certificate_past_the_first_chunk():
+    # a prime 4-frame and a prime 6-frame of R^3, with the 4-part on
+    # columns 1, 8, 9, 10: its colex rank among the size-4 subsets holding
+    # column 1 is C(6, 1) + C(7, 2) + C(8, 3) = 83
+    left = random_tight_frame(3, 4, 1).entries
+    right = random_tight_frame(3, 6, 2).entries
+    entries = np.hstack([left[:, :1], right, left[:, 1:]])
+    phi = FrameMatrix(entries, "real")
+    assert comb(6, 1) + comb(7, 2) + comb(8, 3) > _FIRST_CHUNK
+    cert = find_divisor(phi)
+    assert cert.subset == (1, 8, 9, 10)
+    assert cert == reference_find_divisor(phi, 1e-9)
+    fact = prime_factorization(phi)
+    assert fact.factors == ((1, 8, 9, 10), (2, 3, 4, 5, 6, 7))
+    assert prime_factor_size_multisets(phi) == [(4, 6)]
+
+
+def test_kernel_memory_stays_bounded():
+    # C(23, 11) = 1,352,078 subsets of size 12 holding column 1; holding
+    # them all at once would take hundreds of MB
+    phi = random_tight_frame(3, 24, 0)
+    tracemalloc.start()
+    try:
+        assert find_divisor(phi, size_filter=12) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20

@@ -27,6 +27,17 @@ def test_frame_matrix_validation():
     assert phi.field == "real" and phi.n == 2 and phi.m == 2
 
 
+def test_frame_matrix_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                complex(np.inf, 0.0)):
+        entries = np.eye(2, 3, dtype=np.complex128)
+        entries[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FrameMatrix(entries)
+        with pytest.raises(ValueError, match="finite"):
+            FrameMatrix.from_array(entries)
+
+
 def test_frame_matrix_entries_are_frozen():
     phi = FrameMatrix.from_array(np.eye(2))
     with pytest.raises(ValueError):

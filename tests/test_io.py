@@ -87,6 +87,53 @@ def test_frame_json_obj_validation():
         frame_from_json_obj(obj)
 
 
+def test_frame_json_obj_schema_errors_name_the_field():
+    good = frame_to_json_obj(htf(HtfParams(2, 3)))
+    cases = [
+        ({"m": 2}, "'n'"),
+        ([1, 2], "JSON object"),
+        ("frame", "JSON object"),
+        (dict(good, n="2"), "'n'"),
+        (dict(good, m=None), "'m'"),
+        (dict(good, n=True), "'n'"),
+        ({k: v for k, v in good.items() if k != "field"}, "'field'"),
+        (dict(good, field=1), "'field'"),
+        (dict(good, columns={"a": 1}), "'columns'"),
+        (dict(good, columns=[1, 2, 3]), "'columns'"),
+        (dict(good, columns=[[[1, 0], 5]] * 3), "'columns'"),
+        (dict(good, columns=[[[1, 0], [1, 2, 3]]] * 3), "'columns'"),
+        (dict(good, columns=[[[1, 0], ["a", 0]]] * 3), "'columns'"),
+        (dict(good, columns=[[[1, 0], [[1], 0]]] * 3), "'columns'"),
+    ]
+    for obj, field in cases:
+        with pytest.raises(ValueError, match=field):
+            frame_from_json_obj(obj)
+
+
+def test_vector_json_obj_schema_errors_name_the_field():
+    cases = [
+        ({"entries": [[1, 0]]}, "'n'"),
+        ([[1, 0]], "JSON object"),
+        ({"n": 1}, "'entries'"),
+        ({"n": 1.5, "entries": [[1, 0]]}, "'n'"),
+        ({"n": 1, "entries": "ab"}, "'entries'"),
+        ({"n": 1, "entries": [3]}, "'entries'"),
+        ({"n": 1, "entries": [[1, {}]]}, "'entries'"),
+    ]
+    for obj, field in cases:
+        with pytest.raises(ValueError, match=field):
+            vector_from_json_obj(obj)
+
+
+def test_frame_readers_reject_non_finite_entries():
+    obj = frame_to_json_obj(htf(HtfParams(2, 3)))
+    obj["columns"][1][0] = [float("inf"), 0.0]
+    with pytest.raises(ValueError, match="finite"):
+        frame_from_json_obj(obj)
+    with pytest.raises(ValueError, match="finite"):
+        frame_from_csv("1+0j,nan+0j\n0+0j,1+0j\n")
+
+
 def test_frame_csv_validation():
     with pytest.raises(ValueError):
         frame_from_csv("")
