@@ -11,6 +11,7 @@ default tightness tolerance of 1e-9 wherever --tol is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -299,8 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (FrameError, ValueError, OSError) as exc:

@@ -224,15 +224,19 @@ def _rest(cols, part) -> list:
     return [i for i in cols if i not in taken]
 
 
-def _check_complement(entries: np.ndarray, cols, part, tol: float):
-    """Raise unless the columns of ``cols`` outside ``part`` are tight."""
-    if _bound_and_residual(entries[:, _rest(cols, part)])[1] > tol:
+def _check_complement(entries: np.ndarray, cols, part, tol: float) -> float:
+    """The bound of the columns of ``cols`` outside ``part``; raise unless
+    they are tight."""
+    bound, residual = _bound_and_residual(entries[:, _rest(cols, part)])
+    if residual > tol:
         raise NotTightError("complement failed its tightness check")
+    return bound
 
 
 def _first_divisor(entries, coords, cols, bound, tol, sizes=None):
     """First divisor of the frame on ``cols`` (0-based, ascending) with
-    bound ``bound``, as (index list, subset bound), or None if prime.
+    bound ``bound``, as (index list, subset bound, complement bound), or
+    None if prime.
 
     Subsets hold cols[0] and go by size, then ascending bitmask; by
     default every size in [n, len(cols) - n] is searched.
@@ -242,8 +246,7 @@ def _first_divisor(entries, coords, cols, bound, tol, sizes=None):
         sizes = range(n, len(cols) - n + 1)
     for part, sub_bound in _tight_parts(entries, coords, cols, sizes, True,
                                         bound, tol):
-        _check_complement(entries, cols, part, tol)
-        return part, sub_bound
+        return part, sub_bound, _check_complement(entries, cols, part, tol)
     return None
 
 
@@ -268,7 +271,7 @@ def find_divisor(phi: FrameMatrix, size_filter: int | None = None,
                            bound, tol, sizes)
     if found is None:
         return None
-    part, sub_bound = found
+    part, sub_bound, _ = found
     return DivisorCertificate(tuple(i + 1 for i in part), len(part),
                               sub_bound, bound - sub_bound)
 
@@ -323,22 +326,25 @@ def prime_factorization(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     factors = []
     bounds = []
 
-    def split(cols):
+    def split(cols, bound):
+        """Factor the frame on ``cols``, whose bound is ``bound`` and which
+        was checked tight where it has at least 2n columns."""
         found = None
         if len(cols) >= 2 * n:
-            bound = _tight_bound(entries[:, cols], tol)
             found = _first_divisor(entries, coords, cols, bound, tol)
-        else:
-            bound = _bound_and_residual(entries[:, cols])[0]
         if found is None:
             factors.append(tuple(i + 1 for i in cols))
             bounds.append(bound)
             return
-        part = found[0]
-        split(part)
-        split(_rest(cols, part))
+        part, part_bound, rest_bound = found
+        split(part, part_bound)
+        split(_rest(cols, part), rest_bound)
 
-    split(np.flatnonzero(live).tolist())
+    cols = np.flatnonzero(live).tolist()
+    if len(cols) >= 2 * n:
+        split(cols, _tight_bound(entries[:, cols], tol))
+    else:
+        split(cols, _bound_and_residual(entries[:, cols])[0])
     if zero:
         factors[-1] = tuple(sorted(factors[-1] + zero))
     return PrimeFactorization(tuple(factors), tuple(bounds))
@@ -387,6 +393,8 @@ def tight_subsets(phi: FrameMatrix, size: int, tol: float = DEFAULT_TOL,
     """All subsets of the given size that are tight with positive bound."""
     if not 1 <= size <= phi.m:
         raise ValueError("size out of range")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     _check_cap(phi.m, force)
     hits = _tight_parts(phi.entries, _coordinates(phi.entries),
                         range(phi.m), (size,), False, np.inf, tol)

@@ -22,4 +22,4 @@ class PackingError(FrameError):
 
 
 class SearchCapError(FrameError):
-    """A subset search was refused because the frame exceeds the size cap."""
+    """A search was refused or stopped at its cap without an answer."""

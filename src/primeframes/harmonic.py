@@ -14,13 +14,18 @@ decides divisibility is exact; no floating-point tolerance is involved.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PackingError
+from .errors import PackingError, SearchCapError
 from .frames import FrameMatrix
 from .numtheory import prime_power_factorization, reachable_sums
+
+# Dead ends (placed cosets taken back) allowed per representation in
+# htf_divisor_of_size before the representation is left undecided.
+PACK_NODE_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -193,52 +198,120 @@ def htf_divisor_of_size(params: HtfParams, size: int) -> tuple:
     sizes are minimal divisors summing to ``size``.  Representations are
     tried with fewest cosets first (larger cosets breaking ties) and the
     shifts are packed by depth-first search, smallest shift first, so
-    the result is deterministic.  Raises PackingError when no disjoint
-    packing exists for any representation (ValueError when ``size`` is
-    not a divisible size at all).
+    the result is deterministic.  The search drops a branch as soon as
+    a counting test proves that the cosets still to place cannot fit
+    (see ``_pack_cosets``).  The tests never cut off a packing, so the
+    first packing found is the one the unpruned search finds first.  A
+    representation may take back at most PACK_NODE_CAP placed cosets;
+    one that reaches the cap is left undecided and the next is tried.
+
+    Raises ValueError when ``size`` is not a divisible size at all and
+    PackingError when every representation is proved to have no disjoint
+    packing.  Raises SearchCapError when none packed and at least one was
+    left undecided: no packing was found, but none was ruled out either.
     """
     n, m = params.n, params.m
     sets = divisor_sets(n, m)
     if size not in sets.divisible_sizes:
         raise ValueError("size %d is not a divisible size for (%d, %d)"
                          % (size, n, m))
+    undecided = 0
     for parts in _representations(size, sets.minimal_divisors):
-        packed = _pack_cosets(m, parts)
+        try:
+            packed = _pack_cosets(m, parts)
+        except SearchCapError:
+            undecided += 1
+            continue
         if packed is not None:
-            return tuple(sorted(packed))
+            return packed
+    if undecided:
+        raise SearchCapError(
+            "no coset packing of size %d for (n, m) = (%d, %d) found; %d "
+            "representations reached the cap of %d backtracks undecided"
+            % (size, n, m, undecided, PACK_NODE_CAP))
     raise PackingError(
         "no disjoint coset packing of size %d for (n, m) = (%d, %d)"
         % (size, n, m))
 
 
-def _pack_cosets(m: int, parts) -> set | None:
-    """Disjoint cosets of the given sizes, or None.
+def _pack_cosets(m: int, parts) -> tuple | None:
+    """Disjoint cosets of the given sizes (descending), as sorted 1-based
+    indices, or None when no such cosets exist.
 
     Depth-first over shifts in increasing order; equal-size cosets are
-    forced into increasing shift order to skip symmetric retries.
+    forced into increasing shift order to skip symmetric retries.  The
+    d-coset at 0-based shift r is the residue class r mod m/d of Z_m.
+    After each placement two tests check the parts still to place, and
+    the branch is dropped when either fails:
+
+    - for each size d, the free d-cosets (at shifts the order allows)
+      must be at least as many as the d-parts left;
+    - a d-coset at shift q and an e-coset at shift r meet exactly when
+      q = r mod g, g = gcd(m/d, m/e), so the d-parts and the e-parts
+      need disjoint sets of classes mod g.  The fewest classes that can
+      hold each size's parts, added up, must not exceed the number of
+      classes where either size has a free coset.
+
+    Both tests only reject states that have no completion.  Raises
+    SearchCapError once PACK_NODE_CAP placements have been taken back.
     """
-    used = set()
+    used = np.zeros(m, dtype=bool)
+    sizes = sorted(set(parts), reverse=True)
+    pairs = [(d, e, math.gcd(m // d, m // e))
+             for k, d in enumerate(sizes) for e in sizes[k + 1:]]
+    left = [Counter(parts[i:]) for i in range(len(parts))]
+
+    def candidates(i, lo):
+        """The free shifts >= lo for parts[i], or None when the tests show
+        that parts[i:] cannot fit."""
+        need = left[i]
+        room = {d: ~used.reshape(d, m // d).any(axis=0) for d in need}
+        room[parts[i]][:lo] = False
+        if any(np.count_nonzero(room[d]) < k for d, k in need.items()):
+            return None
+        for d, e, g in pairs:
+            if d in need and e in need:
+                hosts_d = room[d].reshape(-1, g).sum(axis=0)
+                hosts_e = room[e].reshape(-1, g).sum(axis=0)
+                classes = np.count_nonzero(hosts_d + hosts_e)
+                if (_fewest_classes(hosts_d, need[d])
+                        + _fewest_classes(hosts_e, need[e]) > classes):
+                    return None
+        return np.flatnonzero(room[parts[i]]).tolist()
+
+    first = candidates(0, 0)
+    if first is None:
+        return None
     shifts = []
+    todo = [iter(first)]
+    backtracks = 0
+    while todo:
+        i = len(todo) - 1
+        step = m // parts[i]
+        if len(shifts) > i:
+            used[shifts.pop()::step] = False
+            backtracks += 1
+            if backtracks > PACK_NODE_CAP:
+                raise SearchCapError(
+                    "coset packing %s of Z_%d reached the cap of %d "
+                    "backtracks" % (parts, m, PACK_NODE_CAP))
+        r = next(todo[-1], None)
+        if r is None:
+            todo.pop()
+            continue
+        used[r::step] = True
+        shifts.append(r)
+        if i + 1 == len(parts):
+            return tuple((np.flatnonzero(used) + 1).tolist())
+        after = candidates(i + 1, r + 1 if parts[i + 1] == parts[i] else 0)
+        if after is not None:
+            todo.append(iter(after))
+    return None
 
-    def place(i):
-        if i == len(parts):
-            return True
-        d = parts[i]
-        step = m // d
-        first = shifts[-1] + 1 if i > 0 and parts[i - 1] == d else 1
-        for q in range(first, step + 1):
-            coset = range(q, m + 1, step)
-            if any(c in used for c in coset):
-                continue
-            used.update(coset)
-            shifts.append(q)
-            if place(i + 1):
-                return True
-            shifts.pop()
-            used.difference_update(coset)
-        return False
 
-    return used if place(0) else None
+def _fewest_classes(hosts, k: int) -> int:
+    """Fewest classes whose free-coset counts ``hosts`` add up to k."""
+    return int(np.searchsorted(np.cumsum(np.sort(hosts)[::-1]), k)) + 1
 
 
 def htf_coherence(n: int, m: int) -> float:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import run_subprocess
 from primeframes import HtfParams, coherence, htf, stf
-from primeframes.cli import main
+from primeframes.cli import build_parser, main
 from primeframes.io import (frame_from_csv, frame_from_json_obj, read_frame,
                             read_vector, write_frame, write_vector)
 
@@ -29,6 +29,31 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh_parser(capsys, argv):
+    args = build_parser().parse_args(argv)
+    code = args.handler(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_reused_across_calls_in_one_process(capsys):
+    # main keeps one parser per process: a usage error, then different
+    # subcommands in a row, must print what a newly built parser prints,
+    # with no option carried over from one call to the next
+    with pytest.raises(SystemExit) as exc:
+        main(["sets", "--n", "3"])
+    assert exc.value.code == 2
+    assert "--m" in capsys.readouterr().err
+    for argv in (["htf", "--n", "2", "--m", "4", "--format", "csv"],
+                 ["sets", "--n", "3", "--m", "24"],
+                 ["htf", "--n", "2", "--m", "4"]):
+        assert run_cli(capsys, argv) == run_fresh_parser(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
 
 
 def test_htf_json_to_stdout(capsys):

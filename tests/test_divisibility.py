@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import hexagon_frame, mercedes_frame
-from primeframes import (FrameMatrix, HtfParams, NotTightError, SearchCapError,
-                         check_tight, complement_certificate, dft_row_frame,
-                         find_divisor, htf, is_prime_bruteforce,
-                         prime_factor_size_multisets, prime_factorization,
-                         prime_parseval_extension, random_tight_frame,
-                         robustness_counterexample_check, stf, tight_subsets)
+from primeframes import (FrameMatrix, HtfParams, NotTightError,
+                         PrimeFactorization, SearchCapError, check_tight,
+                         complement_certificate, dft_row_frame, find_divisor,
+                         htf, is_prime_bruteforce, prime_factor_size_multisets,
+                         prime_factorization, prime_parseval_extension,
+                         random_tight_frame, robustness_counterexample_check,
+                         stf, tight_subsets)
 from primeframes.divisibility import _FIRST_CHUNK, _coordinates
 from primeframes.frames import _bound_and_residual
 
@@ -451,3 +452,48 @@ def test_kernel_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def reference_factorization(phi, tol):
+    """Greedy splitting by the per-subset loop on each sub-frame, with
+    every factor's bound evaluated afresh on its own columns."""
+    entries = phi.entries
+    if not check_tight(phi, tol).is_tight:
+        raise NotTightError("not tight")
+    factors = []
+    bounds = []
+
+    def split(cols):
+        cert = None
+        if len(cols) >= 2 * phi.n:
+            cert = reference_find_divisor(
+                phi.submatrix([i + 1 for i in cols]), tol)
+        if cert is None:
+            factors.append(tuple(i + 1 for i in cols))
+            bounds.append(_bound_and_residual(entries[:, cols])[0])
+            return
+        part = [cols[i - 1] for i in cert.subset]
+        split(part)
+        split([i for i in cols if i not in part])
+
+    live = np.any(entries, axis=0)
+    split(np.flatnonzero(live).tolist())
+    zero = tuple(int(i) + 1 for i in np.flatnonzero(~live))
+    if zero:
+        factors[-1] = tuple(sorted(factors[-1] + zero))
+    return PrimeFactorization(tuple(factors), tuple(bounds))
+
+
+@pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
+def test_factorization_bounds_match_fresh_evaluation(tol):
+    # the bounds handed down from the search equal, bit for bit, the bound
+    # of each factor's columns evaluated on their own
+    for phi in equivalence_frames() + [hexagon_frame(), mercedes_frame()]:
+        assert (outcome(prime_factorization, phi, tol)
+                == outcome(reference_factorization, phi, tol))
+
+
+def test_tight_subsets_rejects_non_positive_tol():
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            tight_subsets(htf(HtfParams(2, 4)), 2, tol=tol)

@@ -1,16 +1,18 @@
 import cmath
 import math
+import time
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from primeframes import (DivisorSets, HtfParams, PackingError, check_tight,
-                         coherence, divisor_sets, htf, htf_coherence,
-                         htf_divisor_of_size, htf_is_prime, htf_prime_factors,
-                         index_coset, is_balancing, is_prime_bruteforce,
-                         vanishing_subsum_check)
-from primeframes.harmonic import _root_powers
+from primeframes import (DivisorSets, HtfParams, PackingError, SearchCapError,
+                         check_tight, coherence, divisor_sets, htf,
+                         htf_coherence, htf_divisor_of_size, htf_is_prime,
+                         htf_prime_factors, index_coset, is_balancing,
+                         is_prime_bruteforce, vanishing_subsum_check)
+from primeframes import harmonic
+from primeframes.harmonic import _representations, _root_powers
 from primeframes.numtheory import (is_prime_int, prime_power_factorization,
                                    reachable_sums)
 
@@ -259,6 +261,105 @@ def test_htf_divisor_of_size_backtracks_past_greedy_collisions():
         subset = htf_divisor_of_size(HtfParams(2, 24), size)
         assert len(subset) == size
         assert check_tight(htf(HtfParams(2, 24)).submatrix(subset)).is_tight
+
+
+def unpruned_pack_cosets(m, parts):
+    """Disjoint cosets of the given sizes, or None: the depth-first search
+    over shifts without pruning or cap, kept as the reference."""
+    used = set()
+    shifts = []
+
+    def place(i):
+        if i == len(parts):
+            return True
+        d = parts[i]
+        step = m // d
+        first = shifts[-1] + 1 if i > 0 and parts[i - 1] == d else 1
+        for q in range(first, step + 1):
+            coset = range(q, m + 1, step)
+            if any(c in used for c in coset):
+                continue
+            used.update(coset)
+            shifts.append(q)
+            if place(i + 1):
+                return True
+            shifts.pop()
+            used.difference_update(coset)
+        return False
+
+    return used if place(0) else None
+
+
+def unpruned_divisor_of_size(n, m, size):
+    """The first packing over representations in order, or None."""
+    for parts in _representations(size, divisor_sets(n, m).minimal_divisors):
+        packed = unpruned_pack_cosets(m, parts)
+        if packed is not None:
+            return tuple(sorted(packed))
+    return None
+
+
+def test_pruned_packing_matches_unpruned_search():
+    # every divisible size of every (n, m) with 2 <= n <= m/2, m <= 48, and
+    # of (4, 60) and (2, 70), where some packings pass through states with
+    # exactly as many free cosets of a size as parts of it left: the same
+    # first packing, and PackingError exactly where none exists
+    shapes = [(n, m) for m in range(4, 49) for n in range(2, m // 2 + 1)]
+    calls = refuted = 0
+    for n, m in shapes + [(4, 60), (2, 70)]:
+        for size in divisor_sets(n, m).divisible_sizes:
+            want = unpruned_divisor_of_size(n, m, size)
+            if want is None:
+                refuted += 1
+                with pytest.raises(PackingError):
+                    htf_divisor_of_size(HtfParams(n, m), size)
+            else:
+                assert htf_divisor_of_size(HtfParams(n, m), size) == want
+            calls += 1
+    assert calls > 1000 and refuted > 0
+
+
+def assert_tight_packing(n, m, size, subset):
+    assert len(subset) == size == len(set(subset))
+    assert 1 <= subset[0] and subset[-1] <= m
+    assert check_tight(htf(HtfParams(n, m)).submatrix(subset)).is_tight
+    assert all(vanishing_subsum_check(m, subset, power)
+               for power in range(1, n))
+
+
+@pytest.mark.parametrize("n, m, size", [
+    (3, 240, 119), (2, 120, 113), (2, 120, 116), (2, 120, 117),
+    (2, 120, 118)])
+def test_htf_divisor_of_size_formerly_hanging_sizes(n, m, size):
+    # the unpruned search put 23 five-cosets of Z_240 on shifts 1..23, left
+    # no room for a four-coset and ran on for minutes
+    start = time.perf_counter()
+    subset = htf_divisor_of_size(HtfParams(n, m), size)
+    assert time.perf_counter() - start < 1.0
+    assert_tight_packing(n, m, size, subset)
+
+
+@pytest.mark.parametrize("n, m, size", [(4, 36, 13), (4, 84, 67)])
+def test_htf_divisor_of_size_refutes_impossible_packings(n, m, size):
+    # 13 = 9 + 4 in Z_36: a 9-coset and a 4-coset always meet, since the
+    # steps 4 and 9 are coprime
+    assert size in divisor_sets(n, m).divisible_sizes
+    start = time.perf_counter()
+    with pytest.raises(PackingError):
+        htf_divisor_of_size(HtfParams(n, m), size)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_htf_divisor_of_size_undecided_at_cap(monkeypatch):
+    # with room for only two backtracks, 9 of the 16 representations of
+    # 67 stop undecided (all 16 are refuted under the real cap), so the
+    # search must not claim that no packing exists
+    monkeypatch.setattr(harmonic, "PACK_NODE_CAP", 2)
+    with pytest.raises(SearchCapError):
+        htf_divisor_of_size(HtfParams(4, 84), 67)
+    with pytest.raises(PackingError):
+        htf_divisor_of_size(HtfParams(4, 36), 13)
+    assert htf_divisor_of_size(HtfParams(2, 10), 5) == (1, 3, 5, 7, 9)
 
 
 def test_htf_divisor_of_size_rejects_non_divisible_sizes():
