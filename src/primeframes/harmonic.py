@@ -108,13 +108,17 @@ def divisor_sets(n: int, m: int) -> DivisorSets:
     """Compute the divisor, minimal-divisor, and divisible-size sets."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    divisors = tuple(d for d in range(n, m - n + 1) if m % d == 0)
+    factors = prime_power_factorization(m)
+    all_divisors = [1]
+    for q, e in factors:
+        all_divisors = [d * q ** k for d in all_divisors for k in range(e + 1)]
+    divisors = tuple(sorted(d for d in all_divisors if n <= d <= m - n))
     minimal = tuple(d for d in divisors
                     if not any(d % c == 0 for c in divisors if c < d))
     reach = reachable_sums(m, minimal)
-    sizes = tuple(s for s in range(n, m - n + 1) if reach[s] and reach[m - s])
-    return DivisorSets(n, m, divisors, minimal, sizes,
-                       tuple(prime_power_factorization(m)))
+    balanced = np.flatnonzero(reach & reach[::-1])
+    sizes = tuple(balanced[(balanced >= n) & (balanced <= m - n)].tolist())
+    return DivisorSets(n, m, divisors, minimal, sizes, tuple(factors))
 
 
 def is_balancing(m: int, k: int) -> bool:
@@ -167,28 +171,40 @@ def htf_prime_factors(params: HtfParams, p: int) -> list:
     return out
 
 
-def _representations(total: int, parts) -> list:
-    """All multisets of parts summing to total, fewest terms first.
+def _representations(total: int, parts):
+    """Yield every multiset of parts summing to total, fewest terms first.
 
     Between multisets of equal length the one with larger parts comes
-    first.  Each multiset is a descending tuple.
+    first.  Each multiset is a descending tuple, made only when the
+    caller asks for it.  Each length k is walked depth first, larger parts
+    first, and a prefix is extended only while the remainder r over the j
+    slots left satisfies j min <= r <= j cap, cap being the last part
+    placed.
     """
     parts = sorted(set(parts), reverse=True)
-    out = []
-
-    def rec(remaining, start, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for i in range(start, len(parts)):
-            if parts[i] <= remaining:
-                acc.append(parts[i])
-                rec(remaining - parts[i], i, acc)
-                acc.pop()
-
-    rec(total, 0, [])
-    out.sort(key=lambda t: (len(t), tuple(-x for x in t)))
-    return out
+    low = parts[-1] if parts else total + 1   # no parts: only length 0
+    for k in range(total // low + 1):
+        chosen = []     # indices into parts, non-decreasing
+        remaining = total
+        i = 0           # the first index to try in the next slot
+        while True:
+            if len(chosen) == k:
+                if remaining == 0:
+                    yield tuple(parts[c] for c in chosen)
+            else:
+                slots = k - len(chosen)
+                while (i < len(parts)
+                       and parts[i] > remaining - (slots - 1) * low):
+                    i += 1
+                if i < len(parts) and remaining <= slots * parts[i]:
+                    chosen.append(i)
+                    remaining -= parts[i]
+                    continue
+            if not chosen:
+                break
+            c = chosen.pop()
+            remaining += parts[c]
+            i = c + 1
 
 
 def htf_divisor_of_size(params: HtfParams, size: int) -> tuple:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def is_prime_int(k: int) -> bool:
     """Trial-division primality test for ordinary integers."""
@@ -38,17 +40,25 @@ def prime_power_factorization(k: int) -> list[tuple[int, int]]:
     return out
 
 
-def reachable_sums(limit: int, parts) -> bytearray:
-    """Coin-problem table: entry v is 1 iff v is a sum of the given parts.
+def reachable_sums(limit: int, parts) -> np.ndarray:
+    """Coin-problem table: entry v is True iff v is a sum of the given parts.
 
     Parts may repeat any number of times; the empty sum makes 0 reachable.
+    Within each residue class mod a part, every value past a reachable
+    one is reachable, so each part is one running OR down the columns of
+    the table laid out as rows of that part's length.
     """
-    reach = bytearray(limit + 1)
-    reach[0] = 1
+    parts = list(parts)
+    if any(p <= 0 for p in parts):
+        raise ValueError("parts must be positive")
+    reach = np.zeros(limit + 1, dtype=bool)
+    reach[0] = True
     for p in parts:
-        if p <= 0:
-            raise ValueError("parts must be positive")
-        for v in range(p, limit + 1):
-            if reach[v - p]:
-                reach[v] = 1
+        if p > limit:
+            continue
+        rows = -(-(limit + 1) // p)
+        table = np.zeros(rows * p, dtype=bool)
+        table[: limit + 1] = reach
+        reach = np.logical_or.accumulate(
+            table.reshape(rows, p), axis=0).reshape(-1)[: limit + 1]
     return reach

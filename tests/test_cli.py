@@ -285,7 +285,8 @@ def test_bench_command(capsys):
     payload = json.loads(out)
     assert payload["trials"] == 3
     assert payload["fast_median_ns"] >= 0
-    assert payload["naive_op_estimate"] > payload["fast_op_estimate"]
+    assert set(payload) == {"n", "m", "p", "trials", "fast_median_ns",
+                            "naive_median_ns"}
 
 
 def test_grid_csv_golden(capsys):

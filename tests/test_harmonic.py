@@ -120,6 +120,47 @@ def test_divisor_sets_reference_table():
     assert sets.divisible_sizes == tuple(range(4, 21, 2))
 
 
+def loop_reachable_sums(limit, parts):
+    """The coin-problem table by a loop over every value, one part at a time."""
+    reach = bytearray(limit + 1)
+    reach[0] = 1
+    for p in parts:
+        for v in range(p, limit + 1):
+            if reach[v - p]:
+                reach[v] = 1
+    return reach
+
+
+def test_reachable_sums_matches_value_loop():
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        limit = int(rng.integers(0, 501))
+        parts = rng.integers(1, 601, size=rng.integers(1, 6)).tolist()
+        reach = reachable_sums(limit, parts)
+        assert len(reach) == limit + 1
+        assert list(reach) == [bool(v) for v in loop_reachable_sums(limit, parts)]
+
+
+def scanned_divisor_sets(n, m):
+    """The divisor sets by their definitions: a scan of [n, m - n] for
+    divisors and a value loop for sums of minimal divisors."""
+    divisors = tuple(d for d in range(n, m - n + 1) if m % d == 0)
+    minimal = tuple(d for d in divisors
+                    if not any(d % c == 0 for c in divisors if c < d))
+    reach = loop_reachable_sums(m, minimal)
+    sizes = tuple(s for s in range(n, m - n + 1) if reach[s] and reach[m - s])
+    return divisors, minimal, sizes
+
+
+def test_divisor_sets_match_range_scan():
+    for m in range(1, 201):
+        for n in range(1, m + 1):
+            sets = divisor_sets(n, m)
+            got = (sets.divisors, sets.minimal_divisors, sets.divisible_sizes)
+            assert got == scanned_divisor_sets(n, m), (n, m)
+            assert all(type(v) is int for t in got for v in t)
+
+
 def test_divisor_sets_json_obj():
     obj = divisor_sets(3, 24).to_json_obj()
     assert obj["n"] == 3 and obj["m"] == 24
@@ -261,6 +302,41 @@ def test_htf_divisor_of_size_backtracks_past_greedy_collisions():
         subset = htf_divisor_of_size(HtfParams(2, 24), size)
         assert len(subset) == size
         assert check_tight(htf(HtfParams(2, 24)).submatrix(subset)).is_tight
+
+
+def listed_representations(total, parts):
+    """Every multiset of parts summing to total, built in full and then
+    sorted: fewest terms first, larger parts first."""
+    parts = sorted(set(parts), reverse=True)
+    out = []
+
+    def rec(remaining, start, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        for i in range(start, len(parts)):
+            if parts[i] <= remaining:
+                acc.append(parts[i])
+                rec(remaining - parts[i], i, acc)
+                acc.pop()
+
+    rec(total, 0, [])
+    out.sort(key=lambda t: (len(t), tuple(-x for x in t)))
+    return out
+
+
+def test_representations_keep_the_sorted_order():
+    # every divisible size of every (n, m) with m <= 120, and (2, 330, 323),
+    # whose 18,727 representations the generator yields one at a time
+    cases = {(size, sets.minimal_divisors)
+             for m in range(1, 121) for n in range(1, m + 1)
+             for sets in [divisor_sets(n, m)] for size in sets.divisible_sizes}
+    cases.add((323, divisor_sets(2, 330).minimal_divisors))
+    for size, parts in sorted(cases):
+        assert list(_representations(size, parts)) == listed_representations(
+            size, parts), (size, parts)
+    reps = _representations(323, (2, 3, 5, 11))
+    assert next(reps) == (11,) * 29 + (2, 2)
 
 
 def unpruned_pack_cosets(m, parts):
