@@ -28,8 +28,8 @@ from .harmonic import (DivisorSets, HtfParams, divisor_sets, htf,
 from .tetris import (StfFactorization, TetrisSchedule, stf, stf_factorize,
                      stf_is_divisible, stf_low_redundancy,
                      stf_low_redundancy_feasible, stf_schedule)
-from .transform import (HtfTransformPlan, analyze_fast, analyze_naive,
-                        benchmark, plan, synthesize_fast)
+from .transform import (HtfTransformPlan, analyze_fast, analyze_naive, plan,
+                        synthesize_fast)
 
 __version__ = "0.1.0"
 
@@ -53,5 +53,5 @@ __all__ = [
     "vanishing_subsum_check",
     "stf_schedule", "stf", "stf_is_divisible", "stf_factorize",
     "stf_low_redundancy_feasible", "stf_low_redundancy",
-    "plan", "analyze_fast", "analyze_naive", "synthesize_fast", "benchmark",
+    "plan", "analyze_fast", "analyze_naive", "synthesize_fast",
 ]

@@ -14,6 +14,9 @@ import argparse
 import functools
 import os
 import sys
+import time
+
+import numpy as np
 
 from . import io
 from .divisibility import (SEARCH_CAP, is_prime_bruteforce,
@@ -24,7 +27,7 @@ from .frames import (DEFAULT_TOL, check_equiangular, check_tight, coherence,
 from .harmonic import HtfParams, divisor_sets, htf, htf_is_prime
 from .tetris import (stf, stf_is_divisible, stf_low_redundancy,
                      stf_low_redundancy_feasible)
-from .transform import analyze_fast, benchmark, plan, synthesize_fast
+from .transform import analyze_fast, analyze_naive, plan, synthesize_fast
 
 
 def _default_tol() -> float:
@@ -145,7 +148,29 @@ def cmd_transform(args):
 
 
 def cmd_bench(args):
-    _emit_obj(benchmark(args.n, args.m, args.p, args.trials, args.seed), args)
+    """Median ns of analyze_fast and analyze_naive, each timed once per
+    seeded random signal after one warm-up call."""
+    n, m, p, trials = args.n, args.m, args.p, args.trials
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    tplan = plan(n, m, p)
+    rng = np.random.default_rng(args.seed)
+    signals = (rng.standard_normal((trials, n))
+               + 1j * rng.standard_normal((trials, n)))
+    analyze_fast(tplan, signals[0])
+    analyze_naive(n, m, signals[0])
+    fast_ns = []
+    naive_ns = []
+    for x in signals:
+        t0 = time.perf_counter_ns()
+        analyze_fast(tplan, x)
+        fast_ns.append(time.perf_counter_ns() - t0)
+        t0 = time.perf_counter_ns()
+        analyze_naive(n, m, x)
+        naive_ns.append(time.perf_counter_ns() - t0)
+    _emit_obj({"n": n, "m": m, "p": p, "trials": trials,
+               "fast_median_ns": int(np.median(fast_ns)),
+               "naive_median_ns": int(np.median(naive_ns))}, args)
     return 0
 
 

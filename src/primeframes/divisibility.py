@@ -283,10 +283,12 @@ def is_prime_bruteforce(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     With fewer than 2n vectors no proper subset can be tight with a tight
     complement (the smaller part could not span), so the search is skipped.
     """
-    _require_tight(phi, tol)
+    bound = _require_tight(phi, tol)
     if phi.m < 2 * phi.n:
         return True
-    return find_divisor(phi, None, tol, force) is None
+    _check_cap(phi.m, force)
+    return _first_divisor(phi.entries, _coordinates(phi.entries),
+                          range(phi.m), bound, tol) is None
 
 
 def complement_certificate(phi: FrameMatrix, subset,

@@ -5,10 +5,13 @@ The harmonic frame on parameters (n, m, s) consists of the m columns
     phi_k = sqrt(s/n) * (1, w^k, w^{2k}, ..., w^{(n-1)k}),   w = exp(2 pi i / m),
 
 for k = 0..m-1.  It is a tight frame for C^n with bound s m / n and
-column norms sqrt(s).  Its tight subsets are unions of arithmetic index
-cosets, so primality, divisor sizes, and explicit divisors all reduce to
-integer arithmetic on the divisors of m.  Everything in this module that
-decides divisibility is exact; no floating-point tolerance is involved.
+column norms sqrt(s).  Every arithmetic index coset whose size d divides
+m and lies in [n, m - n] is a tight subset, so primality, the divisor
+size sets, explicit divisors and the factors along cosets reduce to
+integer arithmetic on the divisors of m; no floating-point tolerance is
+involved.  Not every tight subset is a union of cosets: in the frame on
+(2, 30) the subset (6, 7, 13, 19, 25, 26) is tight, and so is its
+complement, yet it contains no coset of size 2, 3 or 5.
 """
 
 from __future__ import annotations
@@ -50,8 +53,10 @@ class DivisorSets:
     ``divisors``: divisors d of m with n <= d <= m - n (sizes of coset
     divisors).  ``minimal_divisors``: elements of ``divisors`` with no
     proper divisor in the set.  ``divisible_sizes``: every size s in
-    [n, m - n] such that both s and m - s are sums of minimal divisors;
-    these are exactly the cardinalities of tight subsets.
+    [n, m - n] such that both s and m - s are sums of minimal divisors.
+    A listed size is not proof that a tight subset of that size exists:
+    at (4, 36) size 13 = 4 + 9 is listed, but every 4-coset of Z_36
+    meets every 9-coset, so no disjoint union of cosets has size 13.
     """
 
     n: int
@@ -104,21 +109,46 @@ def index_coset(m: int, d: int, q: int) -> tuple:
     return tuple(k * step + q for k in range(d))
 
 
+def _divisors(n: int, m: int) -> tuple:
+    """The divisors of m in [n, m - n] and the minimal ones, ascending.
+
+    The largest proper divisor of d is d/r, r the smallest prime factor
+    of d, and every divisor of d divides m, so d is minimal exactly when
+    d/r < n.
+    """
+    tops = [(1, 0)]     # (divisor, its largest proper divisor; 0 for 1)
+    for q, e in reversed(prime_power_factorization(m)):
+        tops = [(d * q ** k, d * q ** (k - 1) if k else top)
+                for d, top in tops for k in range(e + 1)]
+    tops = sorted(dt for dt in tops if n <= dt[0] <= m - n)
+    return (tuple(d for d, _ in tops),
+            tuple(d for d, top in tops if top < n))
+
+
+def _coset_twists(n: int, m: int, p: int) -> np.ndarray:
+    """The (n, m/p) array w^{t (q-1)}, t = 0..n-1 down, q = 1..m/p across.
+
+    Column q - 1 is the diagonal of the twist that carries the (n, p)
+    kernel onto index coset q.  Raises ValueError unless p is a minimal
+    divisor size of (n, m).
+    """
+    if p not in _divisors(n, m)[1]:
+        raise ValueError(
+            "p = %d is not a minimal divisor size of (n, m) = (%d, %d)"
+            % (p, n, m))
+    return _root_powers(m, np.outer(np.arange(n), np.arange(m // p)))
+
+
 def divisor_sets(n: int, m: int) -> DivisorSets:
     """Compute the divisor, minimal-divisor, and divisible-size sets."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    factors = prime_power_factorization(m)
-    all_divisors = [1]
-    for q, e in factors:
-        all_divisors = [d * q ** k for d in all_divisors for k in range(e + 1)]
-    divisors = tuple(sorted(d for d in all_divisors if n <= d <= m - n))
-    minimal = tuple(d for d in divisors
-                    if not any(d % c == 0 for c in divisors if c < d))
+    divisors, minimal = _divisors(n, m)
     reach = reachable_sums(m, minimal)
     balanced = np.flatnonzero(reach & reach[::-1])
     sizes = tuple(balanced[(balanced >= n) & (balanced <= m - n)].tolist())
-    return DivisorSets(n, m, divisors, minimal, sizes, tuple(factors))
+    return DivisorSets(n, m, divisors, minimal, sizes,
+                       tuple(prime_power_factorization(m)))
 
 
 def is_balancing(m: int, k: int) -> bool:
@@ -146,7 +176,7 @@ def htf_is_prime(n: int, m: int) -> bool:
         raise ValueError("need 1 <= n <= m")
     if n == 1:
         return m < 2
-    return len(divisor_sets(n, m).divisors) == 0
+    return not _divisors(n, m)[0]
 
 
 def htf_prime_factors(params: HtfParams, p: int) -> list:
@@ -158,17 +188,10 @@ def htf_prime_factors(params: HtfParams, p: int) -> list:
     w = exp(2 pi i / m).
     """
     n, m, s = params.n, params.m, params.s
-    sets = divisor_sets(n, m)
-    if p not in sets.minimal_divisors:
-        raise ValueError("p = %d is not a minimal divisor size of (%d, %d)"
-                         % (p, n, m))
+    twists = _coset_twists(n, m, p)
     kernel = htf(HtfParams(n, p, s)).entries
-    t = np.arange(n)
-    out = []
-    for q in range(1, m // p + 1):
-        phase = _root_powers(m, t * (q - 1))
-        out.append(FrameMatrix(phase[:, None] * kernel, "complex"))
-    return out
+    return [FrameMatrix(twists[:, q, None] * kernel, "complex")
+            for q in range(m // p)]
 
 
 def _representations(total: int, parts):

@@ -8,85 +8,57 @@ phase twists plus m/p size-p transforms instead of one size-m transform
 of the zero-padded signal.  Coefficients use the convention
 c_i = <x, phi_i> = (Phi* x)_i and are returned in frame index order.
 
-The plan stores each twist as an (n, m/p) array whose column q-1 serves
-coset q, with the transform's scale folded in: 1/sqrt(n) for analysis
-and p sqrt(n)/m for synthesis.  Analysis transforms the twisted signal
-along its first axis, so the (p, m/p) result is the coefficient vector
-in frame index order (frame index k m/p + q for row k, column q-1), and
-synthesis reads the coefficients back in the same layout.  Every
-function takes a batch of signals or coefficient vectors along leading
-axes; each one is transformed exactly as it would be alone.
+The plan takes both twists from the (n, m/p) array w^{t (q-1)} that
+``harmonic.htf_prime_factors`` builds its factors from, column q-1
+serving coset q, with the transform's scale folded in: analysis uses
+its conjugate over sqrt(n) and synthesis the array times p sqrt(n)/m.
+Analysis transforms the twisted signal along its first axis, so the
+(p, m/p) result is the coefficient vector in frame index order (frame
+index k m/p + q for row k, column q-1), and synthesis reads the
+coefficients back in the same layout.  Every function takes a batch of
+signals or coefficient vectors along leading axes; each one is
+transformed exactly as it would be alone.  The CLI ``bench``
+subcommand times ``analyze_fast`` against ``analyze_naive``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import HtfParams, _root_powers, divisor_sets, htf, index_coset
+from .harmonic import _coset_twists
 
 
 @dataclass(frozen=True, eq=False)
 class HtfTransformPlan:
     """Precomputed data for repeated transforms at one (n, m, p).
 
-    ``phase_diag`` is the diagonal of the coset-twist unitary.
     ``analysis_twist`` is the (n, m/p) array whose column q-1 holds the
-    conjugated diagonal raised to the power q - 1, divided by sqrt(n);
-    ``synthesis_twist`` holds the conjugates of those powers times
-    p sqrt(n)/m.  All three arrays are read-only, so one plan can serve
-    any number of calls.  ``kernel`` (the (n, p) harmonic
-    frame applied on each coset), ``coset_maps`` (the 1-based index
-    cosets in shift order) and ``phase_powers`` (the undivided powers,
-    row q-1 for coset q) are computed on access; no transform reads them.
+    conjugated diagonal of the coset-twist unitary raised to the power
+    q - 1, divided by sqrt(n); ``synthesis_twist`` holds the unconjugated
+    powers times p sqrt(n)/m.  Both arrays are read-only, so one plan can
+    serve any number of calls.
     """
 
     n: int
     m: int
     factor_size: int
     coset_count: int
-    phase_diag: np.ndarray
     analysis_twist: np.ndarray
     synthesis_twist: np.ndarray
-
-    @property
-    def kernel(self) -> np.ndarray:
-        return htf(HtfParams(self.n, self.factor_size, 1.0)).entries
-
-    @property
-    def coset_maps(self) -> tuple:
-        return tuple(index_coset(self.m, self.factor_size, q)
-                     for q in range(1, self.coset_count + 1))
-
-    @property
-    def phase_powers(self) -> np.ndarray:
-        return _twist_powers(self.n, self.m, self.coset_count).T
-
-
-def _twist_powers(n: int, m: int, count: int) -> np.ndarray:
-    """The (n, count) array w^{-t (q-1)}, t = 0..n-1, q = 1..count."""
-    return _root_powers(m, -np.outer(np.arange(n), np.arange(count)))
 
 
 def plan(n: int, m: int, p: int) -> HtfTransformPlan:
     """Build a transform plan; p must be a minimal divisor size of (n, m)."""
-    sets = divisor_sets(n, m)
-    if p not in sets.minimal_divisors:
-        raise ValueError(
-            "p = %d is not a minimal divisor size of (n, m) = (%d, %d)"
-            % (p, n, m))
-    count = m // p
-    powers = _twist_powers(n, m, count)
-    analysis = powers / math.sqrt(n)
-    synthesis = np.conj(powers, out=powers)
-    synthesis *= p * math.sqrt(n) / m
-    diag = _root_powers(m, np.arange(n))
-    for a in (diag, analysis, synthesis):
+    twists = _coset_twists(n, m, p)
+    analysis = np.conj(twists)
+    analysis /= math.sqrt(n)
+    twists *= p * math.sqrt(n) / m
+    for a in (analysis, twists):
         a.flags.writeable = False
-    return HtfTransformPlan(n, m, p, count, diag, analysis, synthesis)
+    return HtfTransformPlan(n, m, p, m // p, analysis, twists)
 
 
 def _last_axis(a, what: str, name: str, size: int) -> np.ndarray:
@@ -128,35 +100,3 @@ def synthesize_fast(tplan: HtfTransformPlan, coeffs) -> np.ndarray:
     # row t of z times row t of the twist: (..., n, 1, m/p) @ (n, m/p, 1)
     return (z @ tplan.synthesis_twist[:, :, None])[..., 0, 0]
 
-
-def benchmark(n: int, m: int, p: int, trials: int, seed: int) -> dict:
-    """Median wall time of the coset path versus the size-m reference path.
-
-    Times analyze over ``trials`` seeded random complex signals, one
-    timed call per trial after a warm-up, and reports medians in
-    nanoseconds.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    tplan = plan(n, m, p)
-    rng = np.random.default_rng(seed)
-    signals = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
-    analyze_fast(tplan, signals[0])
-    analyze_naive(n, m, signals[0])
-    fast_ns = []
-    naive_ns = []
-    for x in signals:
-        t0 = time.perf_counter_ns()
-        analyze_fast(tplan, x)
-        fast_ns.append(time.perf_counter_ns() - t0)
-        t0 = time.perf_counter_ns()
-        analyze_naive(n, m, x)
-        naive_ns.append(time.perf_counter_ns() - t0)
-    return {
-        "n": n,
-        "m": m,
-        "p": p,
-        "trials": trials,
-        "fast_median_ns": int(np.median(fast_ns)),
-        "naive_median_ns": int(np.median(naive_ns)),
-    }

@@ -283,10 +283,16 @@ def test_bench_command(capsys):
                                     "--seed", "1"])
     assert code == 0
     payload = json.loads(out)
+    assert (payload["n"], payload["m"], payload["p"]) == (2, 10, 5)
     assert payload["trials"] == 3
-    assert payload["fast_median_ns"] >= 0
+    assert payload["fast_median_ns"] >= 0 and payload["naive_median_ns"] >= 0
     assert set(payload) == {"n", "m", "p", "trials", "fast_median_ns",
                             "naive_median_ns"}
+    code, out, err = run_cli(capsys, ["bench", "--n", "2", "--m", "10",
+                                      "--p", "5", "--trials", "0",
+                                      "--seed", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "trials" in err
 
 
 def test_grid_csv_golden(capsys):

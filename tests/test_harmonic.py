@@ -6,11 +6,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from primeframes import (DivisorSets, HtfParams, PackingError, SearchCapError,
-                         check_tight, coherence, divisor_sets, htf,
+from primeframes import (DivisorSets, FrameMatrix, HtfParams, PackingError,
+                         SearchCapError, check_tight, coherence,
+                         complement_certificate, divisor_sets, htf,
                          htf_coherence, htf_divisor_of_size, htf_is_prime,
                          htf_prime_factors, index_coset, is_balancing,
-                         is_prime_bruteforce, vanishing_subsum_check)
+                         is_prime_bruteforce, plan, vanishing_subsum_check)
 from primeframes import harmonic
 from primeframes.harmonic import _representations, _root_powers
 from primeframes.numtheory import (is_prime_int, prime_power_factorization,
@@ -271,6 +272,83 @@ def test_htf_prime_factors_rejects_non_minimal_size():
         htf_prime_factors(HtfParams(2, 24), 4)
     with pytest.raises(ValueError):
         htf_prime_factors(HtfParams(2, 7), 7)
+
+
+def looped_prime_factors(params, p):
+    """The factors built one coset at a time, each twist from its own
+    exponent vector t (q - 1)."""
+    n, m, s = params.n, params.m, params.s
+    kernel = htf(HtfParams(n, p, s)).entries
+    t = np.arange(n)
+    out = []
+    for q in range(1, m // p + 1):
+        phase = _root_powers(m, t * (q - 1))
+        out.append(FrameMatrix(phase[:, None] * kernel, "complex"))
+    return out
+
+
+def test_htf_prime_factors_match_the_per_coset_loop_bit_for_bit():
+    for m in range(1, 61):
+        for n in range(1, m + 1):
+            params = HtfParams(n, m, 1.5)
+            for p in divisor_sets(n, m).minimal_divisors:
+                got = htf_prime_factors(params, p)
+                want = looped_prime_factors(params, p)
+                assert len(got) == len(want) == m // p
+                assert all(np.array_equal(g.entries, w.entries)
+                           for g, w in zip(got, want)), (n, m, p)
+
+
+def accepts(build, *args) -> bool:
+    try:
+        build(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def test_coset_factorization_accepts_exactly_the_minimal_divisors():
+    for m in range(1, 201):
+        candidates = [d for d in range(1, m + 1) if m % d == 0] + [0, m + 1]
+        for n in range(1, m + 1):
+            sets = divisor_sets(n, m)
+            assert htf_is_prime(n, m) == (not sets.divisors), (n, m)
+            want = [p for p in candidates if p in sets.minimal_divisors]
+            assert [p for p in candidates
+                    if accepts(plan, n, m, p)] == want, (n, m)
+            assert [p for p in candidates
+                    if accepts(htf_prime_factors, HtfParams(n, m), p)
+                    ] == want, (n, m)
+
+
+def test_coset_factorization_never_builds_the_divisible_sizes(monkeypatch):
+    def refuse(limit, parts):
+        raise AssertionError("reachable_sums called")
+
+    monkeypatch.setattr(harmonic, "reachable_sums", refuse)
+    assert plan(100, 30030, 105).coset_count == 286
+    assert len(htf_prime_factors(HtfParams(3, 60), 3)) == 20
+    assert not htf_is_prime(100, 30030)
+    with pytest.raises(AssertionError):
+        divisor_sets(100, 30030)
+
+
+def test_tight_subsets_need_not_contain_a_coset():
+    # a tight subset whose complement is tight too, yet no index coset of
+    # a minimal size lies inside it, so it is no union of cosets
+    phi = htf(HtfParams(2, 30))
+    subset = (6, 7, 13, 19, 25, 26)
+    sub = FrameMatrix(phi.entries[:, [i - 1 for i in subset]], "complex")
+    report = check_tight(sub)
+    assert report.is_tight and report.residual < 1e-14
+    cert = complement_certificate(phi, subset)
+    assert cert.subset == subset and cert.size == 6
+    assert vanishing_subsum_check(30, subset, 1)
+    minimal = divisor_sets(2, 30).minimal_divisors
+    assert minimal == (2, 3, 5)
+    for d in minimal:
+        for q in range(1, 30 // d + 1):
+            assert not set(index_coset(30, d, q)) <= set(subset), (d, q)
 
 
 def test_htf_divisor_of_size_known_packings():

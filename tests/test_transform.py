@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import analyze_direct
-from primeframes import (HtfParams, analyze_fast, analyze_naive, benchmark,
-                         htf, plan, synthesize_fast)
+from primeframes import (HtfParams, analyze_fast, analyze_naive, htf, plan,
+                         synthesize_fast)
 from primeframes.numtheory import prime_power_factorization
 
 
@@ -17,11 +17,13 @@ def seeded_signal(n, seed):
 def test_plan_structure():
     tplan = plan(2, 10, 5)
     assert tplan.factor_size == 5 and tplan.coset_count == 2
-    assert tplan.coset_maps == ((1, 3, 5, 7, 9), (2, 4, 6, 8, 10))
-    assert tplan.kernel.shape == (2, 5)
-    assert np.allclose(tplan.phase_powers[0], 1.0)
-    assert np.allclose(tplan.phase_powers[1], np.conj(tplan.phase_diag))
-    assert plan(2, 4, 2).coset_maps == ((1, 3), (2, 4))
+    w = np.exp(2j * np.pi / 10)
+    # column q-1 serves coset q: w^{-t(q-1)}/sqrt(n), w^{t(q-1)} p sqrt(n)/m
+    assert np.allclose(tplan.analysis_twist,
+                       np.array([[1, 1], [1, np.conj(w)]]) / np.sqrt(2))
+    assert np.allclose(tplan.synthesis_twist,
+                       np.array([[1, 1], [1, w]]) * 5 * np.sqrt(2) / 10)
+    assert plan(2, 4, 2).coset_count == 2
 
 
 def test_plan_rejects_non_minimal_sizes():
@@ -110,7 +112,7 @@ def test_batches_match_the_per_signal_loop_exactly():
 def test_plan_arrays_are_read_only():
     tplan = plan(2, 10, 5)
     assert tplan.analysis_twist.shape == tplan.synthesis_twist.shape == (2, 2)
-    for a in (tplan.phase_diag, tplan.analysis_twist, tplan.synthesis_twist):
+    for a in (tplan.analysis_twist, tplan.synthesis_twist):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -161,13 +163,3 @@ def test_transform_input_validation():
     with pytest.raises(ValueError):
         analyze_naive(2, 10, np.zeros((2, 1)))
 
-
-def test_benchmark_payload():
-    out = benchmark(2, 10, 5, trials=5, seed=0)
-    assert out["n"] == 2 and out["m"] == 10 and out["p"] == 5
-    assert out["trials"] == 5
-    assert out["fast_median_ns"] >= 0 and out["naive_median_ns"] >= 0
-    assert set(out) == {"n", "m", "p", "trials", "fast_median_ns",
-                        "naive_median_ns"}
-    with pytest.raises(ValueError):
-        benchmark(2, 10, 5, trials=0, seed=0)
