@@ -22,8 +22,9 @@ from . import io
 from .divisibility import (SEARCH_CAP, is_prime_bruteforce,
                            prime_factor_size_multisets, prime_factorization)
 from .errors import FrameError, NotTightError, SearchCapError
-from .frames import (DEFAULT_TOL, check_equiangular, check_tight, coherence,
-                     prime_parseval_extension, random_tight_frame, welch_bound)
+from .frames import (DEFAULT_TOL, _check_tol, check_equiangular, check_tight,
+                     coherence, prime_parseval_extension, random_tight_frame,
+                     welch_bound)
 from .harmonic import HtfParams, divisor_sets, htf, htf_is_prime
 from .tetris import (stf, stf_is_divisible, stf_low_redundancy,
                      stf_low_redundancy_feasible)
@@ -34,10 +35,10 @@ def _default_tol() -> float:
     raw = os.environ.get("FRAMES_TOL")
     if raw is None:
         return DEFAULT_TOL
-    tol = float(raw)
-    if tol <= 0:
-        raise ValueError("FRAMES_TOL must be positive")
-    return tol
+    try:
+        return _check_tol(float(raw))
+    except ValueError as exc:
+        raise ValueError("FRAMES_TOL=%s: %s" % (raw, exc)) from None
 
 
 def _write(text: str, path):

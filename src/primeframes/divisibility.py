@@ -8,35 +8,66 @@ candidate subsets in a fixed order, so every answer is deterministic:
 sizes ascending, and within one size the subsets containing column 1 by
 ascending bitmask value over the remaining columns.
 
-Every search runs through one kernel that screens subsets in chunks and
-then re-decides each subset that passes the screen.  Each column
-contributes the traceless part of phi_i phi_i^* as a real vector whose
-Euclidean norm is its Frobenius norm, together with ||phi_i||^2.  Summing
-these over a chunk of subsets is one matrix product, which gives for
-each subset J the traceless part T_J of S_J = Phi_J Phi_J^*, its fitted
-bound A_J and ||S_J||^2 = ||T_J||^2 + n A_J^2 (this sum of squares does
-not cancel the way ||S_J||^2 - n A_J^2 would).  A subset passes when
+Each column contributes the traceless part of phi_i phi_i^* as a real
+vector whose Euclidean norm is its Frobenius norm, together with
+||phi_i||^2.  Summing these over a subset J gives the traceless part T_J
+of S_J = Phi_J Phi_J^*, its fitted bound A_J and ||S_J||^2 = ||T_J||^2 +
+n A_J^2 (this sum of squares does not cancel the way ||S_J||^2 - n A_J^2
+would).  Whatever screens a subset, only the exact rule of
+``check_tight`` accepts one: relative residual at most tol and
+tol < A_J < B - tol, with B the bound of the frame searched.  Two paths
+apply it.
+
+The kernel screens subsets in chunks and re-decides, in enumeration
+order, each subset that passes the screen.  Summing the coordinates over
+a chunk of subsets is one matrix product, and a subset passes when
 
     ||T_J|| <= (tol + delta) ||S_J||  and
     tol - delta B < A_J < B - tol + delta B,
 
-with B the bound of the frame searched (infinite when no split is
-asked for) and delta = 1e-12.  Every subset that passes is re-decided,
-in enumeration order, by the exact rule of ``check_tight``: relative
-residual at most tol and tol < A_J < B - tol.  That rule alone accepts a
-subset.  The screen's rounding error is about m sqrt(n) machine epsilon
-relative to ||S_J|| and to B, far below delta, so for any tol > 0 no
-subset that the exact rule accepts is screened out.  Answers, first
-certificates and the meaning of tol are those of checking every subset
-with the exact rule.
-
+with B infinite when no split is asked for and delta = 1e-12.  The
+screen's rounding error is about m sqrt(n) machine epsilon relative to
+||S_J|| and to B, far below delta, so for any tol > 0 no subset that the
+exact rule accepts is screened out.  Answers, first certificates and the
+meaning of tol are those of checking every subset with the exact rule.
 Subsets are produced from their colex ranks through the combinatorial
 number system; within one size, colex rank order is ascending bitmask
 order.  Chunks start small and grow, so a search that ends at an early
 certificate stays cheap, and a size class is never held in memory whole.
 
-Brute-force enumeration is exponential in m, so searches refuse frames
-with more than SEARCH_CAP vectors unless forced.
+The proof path (pivot reduction) decides primality with far fewer
+rows.  Let C be the matrix whose columns are the traceless coordinates,
+so that T_J = C x for the 0/1 indicator x of J.  Take r pivot columns p
+of C with full column rank and call the others free.  Since C_p^+ C_p =
+I, every subset satisfies x_p = C_p^+ T_J - C_p^+ C_f x_f exactly.  An
+accepted J has ||T_J|| <= tol ||S_J|| <= tol ||S||, because S_J is PSD
+and S_J <= S, and ||S|| = sqrt(n) B / sqrt(1 - residual^2) for the frame
+searched.  So every pivot entry of an accepted subset lies within
+
+    mu = ||C_p^+||_2 (tol + delta) sqrt(n / (1 - tol^2)) B + rounding
+
+of the matching entry of -C_p^+ C_f x_f, and so within mu of 0 or 1.
+||C_p^+||_2 is bounded by ||R^-1||_F, with R the Cholesky factor of the
+pivots' Gram matrix, and the rounding term bounds the error of computing
+C_p^+ C_f and the sums.  The path enumerates the 2^(m-r-1) assignments
+x_f with column 1 pinned to 1 (column 1 is never a pivot), screens them
+on the first pivot, and re-decides every assignment whose pivot entries
+all lie within mu of 0 or 1, with the rounded entries as x_p, by the
+exact rule.  If none is accepted the frame is prime.  At the first one
+accepted the path stops and the kernel searches, so that the kernel
+alone gives every certificate.  The pivots are the r columns of largest
+norm when their Gram matrix is well conditioned, else those of a
+pivoted Cholesky factorization; r is at most the rank of C, which is
+n(n+1)/2 - 1 for real and n^2 - 1 for complex frames.
+
+A search over all sizes tries the proof path first when mu < 1/4 and its
+2^(m-r-1) rows plus _PROOF_SETUP_ROWS, its set-up cost in kernel rows,
+are fewer than the kernel's subset count for the sizes searched.
+Otherwise, and for searches restricted to some sizes, the kernel runs
+alone.
+
+Enumeration is exponential in m, so searches refuse frames with more
+than SEARCH_CAP vectors unless forced.
 """
 
 from __future__ import annotations
@@ -48,7 +79,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .errors import NotTightError, SearchCapError
-from .frames import DEFAULT_TOL, FrameMatrix, _bound_and_residual
+from .frames import DEFAULT_TOL, FrameMatrix, _bound_and_residual, _check_tol
 
 SEARCH_CAP = 26
 
@@ -56,6 +87,14 @@ _DELTA = 1e-12
 _FIRST_CHUNK = 16
 _MAX_CHUNK = 4096
 _RANK_LIMIT = 1 << 62
+# the proof path's fixed cost in kernel rows, at the kernel's 0.25 us per
+# row on a 2-CPU x86-64 Xeon: about 0.1 ms (400 rows) in a warm loop and
+# 0.2 ms (800 rows) among the benchmark's other searches
+_PROOF_SETUP_ROWS = 1024
+_LOW_BITS = 10
+_PROOF_CHUNK = 1 << 14
+_PIVOT_FLOOR = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -118,10 +157,16 @@ def _coordinates(entries: np.ndarray) -> np.ndarray:
     """One row per column: the traceless part of phi_i phi_i^* as a real,
     Frobenius-isometric vector, then ||phi_i||^2 in the last place."""
     n = entries.shape[0]
-    power = entries.real ** 2 + entries.imag ** 2
-    trace = power.sum(axis=0)
     rows, cols = _upper(n)
-    off = entries[rows] * entries[cols].conj()
+    if entries.imag.any():
+        power = entries.real ** 2 + entries.imag ** 2
+        off = entries[rows] * entries[cols].conj()
+    else:
+        # the same values in real arithmetic: no imaginary rows follow
+        entries = entries.real
+        power = entries * entries
+        off = entries[rows] * entries[cols]
+    trace = power.sum(axis=0)
     parts = [power - trace / n, sqrt(2.0) * off.real]
     if np.any(off.imag):
         parts.append(sqrt(2.0) * off.imag)
@@ -207,9 +252,7 @@ def _tight_bound(entries: np.ndarray, tol: float) -> float:
 
 
 def _require_tight(phi: FrameMatrix, tol: float) -> float:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _tight_bound(phi.entries, tol)
+    return _tight_bound(phi.entries, _check_tol(tol))
 
 
 def _check_cap(m: int, force: bool):
@@ -233,17 +276,171 @@ def _check_complement(entries: np.ndarray, cols, part, tol: float) -> float:
     return bound
 
 
+@lru_cache(maxsize=None)
+def _bit_columns(width: int) -> np.ndarray:
+    """Column a holds the binary digits of a, lowest first, as floats."""
+    a = np.arange(1 << width)
+    return _frozen(((a >> np.arange(width)[:, None]) & 1).astype(float))
+
+
+def _greedy_pivots(gram, most, floor) -> list:
+    """Positions chosen by pivoted Cholesky of the Gram matrix of the
+    traceless coordinates, largest residual first, never position 0.
+
+    A column becomes a pivot only while its residual norm^2 exceeds
+    ``floor`` and _PIVOT_FLOOR times its norm^2 (below that it is a
+    rounding echo of the earlier pivots)."""
+    norms = gram.diagonal()
+    room = norms - np.maximum(_PIVOT_FLOOR * norms, floor)
+    room[0] = -np.inf
+    low = np.zeros((most, len(norms)))
+    pivots = []
+    for j in range(most):
+        p = int(room.argmax())
+        if room[p] <= 0.0:
+            break
+        line = gram[p] - low[:, p].dot(low)
+        line *= 1.0 / sqrt(line[p])
+        low[j] = line
+        room -= line * line
+        room[p] = -np.inf
+        pivots.append(p)
+    return pivots
+
+
+def _forcing(gram, norms, pivots, margin, rounding):
+    """(forced, mu) for the given pivots, or None when mu >= 1/4.
+
+    forced = C_p^+ C = G_pp^-1 G_p. for the Gram matrix G of the
+    traceless coordinates, whose diagonal is ``norms``, and
+    ||C_p^+||_2^2 <= trace(G_pp^-1) = ||R^-1||_F^2 for G_pp = R^T R.
+    ``rounding`` is a multiple of eps.  It is scaled by trace(G_pp)
+    trace(G_pp^-1), which bounds the condition number of G_pp, and by
+    1 + sqrt(trace(G_pp^-1) m trace(G)), which bounds every row sum of
+    |forced|.  Dependent pivots make that condition number about 1/eps,
+    so mu >= 1/4 refuses them.
+    """
+    rows = gram.take(pivots, axis=0)
+    try:
+        inv = np.linalg.inv(rows.take(pivots, axis=1))
+    except np.linalg.LinAlgError:
+        return None
+    spread = inv.trace()
+    if not 0.0 < spread < np.inf:
+        return None
+    scale = sum(norms[p] for p in pivots)
+    mu = sqrt(spread) * margin + rounding * spread * scale * (
+        1.0 + sqrt(spread * len(norms) * sum(norms)))
+    return (inv.dot(rows), mu) if mu < 0.25 else None
+
+
+def _pivot_reduction(coords, cols, n, bound, tol, work):
+    """Pivot positions, their forcing matrix and mu for the frame on
+    ``cols``, or None.
+
+    The frame has fitted bound ``bound`` and relative residual at most
+    tol.  Positions index ``cols`` and are never 0.  An accepted subset
+    with indicator x has x_p within mu of -forced @ x_f in every entry,
+    where x_p is x on the pivots and x_f is x with the pivots set to 0.
+    The columns of largest norm are tried as pivots first, then the
+    greedy choice.  Returns None when 2^(free columns - 1) rows plus
+    _PROOF_SETUP_ROWS are not fewer than ``work`` kernel rows, or when
+    mu >= 1/4.
+    """
+    width = len(cols) - 1
+    d = coords.shape[1] - 1
+    most = min(d - 1, width)  # the n diagonal coordinates sum to zero
+    work = min(work, _RANK_LIMIT)
+    if (1 << (width - most)) + _PROOF_SETUP_ROWS >= work or tol >= 1.0:
+        return None
+    # ||T_J|| <= tol ||S_J|| <= tol ||S||, and ||S||^2 (1 - residual^2)
+    # = n bound^2 since S - bound I is traceless
+    margin = (tol + _DELTA) * sqrt(n / (1.0 - tol * tol)) * bound
+    rounding = 16 * (width + 1 + d) * _EPS
+    c = coords if len(cols) == len(coords) else coords.take(cols, axis=0)
+    c = c[:, :d]
+    gram = c.dot(c.T)
+    norms = gram.diagonal().tolist()
+    largest = sorted(range(1, width + 1), key=norms.__getitem__,
+                     reverse=True)[:most]
+    for choose in (lambda: largest,
+                   lambda: _greedy_pivots(gram, most, (64.0 * margin) ** 2)):
+        pivots = choose()
+        if (1 << (width - len(pivots))) + _PROOF_SETUP_ROWS >= work:
+            return None
+        found = _forcing(gram, norms, pivots, margin, rounding)
+        if found is not None:
+            return (pivots,) + found
+    return None
+
+
+def _proved_prime(entries, coords, cols, sizes, bound, tol) -> bool:
+    """True when pivot reduction proves that the exact rule accepts no
+    subset of ``cols`` that holds cols[0] and has a size in ``sizes``.
+
+    False when it finds such a subset, or when the reduction does not pay
+    (see ``_pivot_reduction``), so that the kernel has to search.
+    """
+    width = len(cols) - 1
+    if 1 << width <= _PROOF_SETUP_ROWS:  # the kernel has under 2^width rows
+        return False
+    work = sum(comb(width, s - 1) for s in sizes)
+    reduction = _pivot_reduction(coords, cols, entries.shape[0], bound, tol,
+                                 work)
+    if reduction is None:
+        return False
+    pivots, forced, mu = reduction
+    cols = list(cols)
+    free = [i for i in range(1, width + 1) if i not in pivots]
+    low = min(len(free), _LOW_BITS)
+    high = free[low:]
+    # position 0 is always in; forced @ x_f + 1/2 must lie within mu of
+    # -1/2 or 1/2 in every entry.  Screen on the first pivot, with the
+    # low free bits tabulated, then check each survivor whole.
+    table = forced[0].take(free[:low]).dot(_bit_columns(low))
+    table += forced[0, 0] + 0.5
+    step = max(1, _PROOF_CHUNK >> low)
+    for start in range(0, 1 << len(high), step):
+        dev = table
+        if high:
+            ranks = np.arange(start, min(start + step, 1 << len(high)))
+            lift = ((ranks[:, None] >> np.arange(len(high))) & 1).dot(
+                forced[0].take(high))
+            dev = np.add.outer(lift, table).ravel()
+        np.abs(dev, out=dev)
+        dev -= 0.5
+        np.abs(dev, out=dev)
+        for flat in (dev <= mu).nonzero()[0].tolist():
+            rank = start << low | flat
+            members = [0] + [i for b, i in enumerate(free) if rank >> b & 1]
+            shifted = (forced.take(members, axis=1).sum(axis=1)
+                       + 0.5).tolist()
+            if max(abs(abs(v) - 0.5) for v in shifted) > mu:
+                continue
+            members += [p for p, v in zip(pivots, shifted) if v < 0.0]
+            if len(members) not in sizes:
+                continue
+            sub_bound, residual = _bound_and_residual(
+                entries[:, sorted(cols[i] for i in members)])
+            if residual <= tol and tol < sub_bound < bound - tol:
+                return False
+    return True
+
+
 def _first_divisor(entries, coords, cols, bound, tol, sizes=None):
     """First divisor of the frame on ``cols`` (0-based, ascending) with
     bound ``bound``, as (index list, subset bound, complement bound), or
     None if prime.
 
     Subsets hold cols[0] and go by size, then ascending bitmask; by
-    default every size in [n, len(cols) - n] is searched.
+    default every size in [n, len(cols) - n] is searched, and a proof of
+    primality by pivot reduction is tried before the kernel.
     """
     n = entries.shape[0]
     if sizes is None:
         sizes = range(n, len(cols) - n + 1)
+        if _proved_prime(entries, coords, cols, sizes, bound, tol):
+            return None
     for part, sub_bound in _tight_parts(entries, coords, cols, sizes, True,
                                         bound, tol):
         return part, sub_bound, _check_complement(entries, cols, part, tol)
@@ -282,6 +479,9 @@ def is_prime_bruteforce(phi: FrameMatrix, tol: float = DEFAULT_TOL,
 
     With fewer than 2n vectors no proper subset can be tight with a tight
     complement (the smaller part could not span), so the search is skipped.
+    Otherwise the frame is proved prime by pivot reduction when that is
+    cheaper than the kernel (see the module docstring), else by the
+    kernel; both give the verdict of checking every subset.
     """
     bound = _require_tight(phi, tol)
     if phi.m < 2 * phi.n:
@@ -395,8 +595,7 @@ def tight_subsets(phi: FrameMatrix, size: int, tol: float = DEFAULT_TOL,
     """All subsets of the given size that are tight with positive bound."""
     if not 1 <= size <= phi.m:
         raise ValueError("size out of range")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     _check_cap(phi.m, force)
     hits = _tight_parts(phi.entries, _coordinates(phi.entries),
                         range(phi.m), (size,), False, np.inf, tol)

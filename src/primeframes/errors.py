@@ -18,7 +18,8 @@ class InfeasibleError(FrameError):
 
 
 class PackingError(FrameError):
-    """No disjoint coset packing realizes the requested divisor size."""
+    """No disjoint coset packing realizes the requested divisor size or
+    its complement size."""
 
 
 class SearchCapError(FrameError):

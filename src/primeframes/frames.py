@@ -138,10 +138,18 @@ def frame_operator(phi: FrameMatrix) -> np.ndarray:
     return phi.entries @ phi.entries.conj().T
 
 
+def _check_tol(tol: float) -> float:
+    """Return ``tol`` if 0 < tol < inf, else raise ValueError.
+
+    NaN fails the test, so a NaN tol is rejected rather than compared."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    return tol
+
+
 def check_tight(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> TightnessReport:
     """Decide whether Phi Phi* = A I for the fitted bound A."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     bound, residual = _bound_and_residual(phi.entries)
     return TightnessReport(residual <= tol and bound > tol, bound, residual, tol)
 

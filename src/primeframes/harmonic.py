@@ -244,33 +244,53 @@ def htf_divisor_of_size(params: HtfParams, size: int) -> tuple:
     representation may take back at most PACK_NODE_CAP placed cosets;
     one that reaches the cap is left undecided and the next is tried.
 
+    When no packing of ``size`` is found, the complement size m - size
+    (also divisible) is packed instead and the sorted complement of that
+    packing is returned: in a harmonic frame the complement of a tight
+    subset is tight, since S_J + S_{J^c} = A I.
+
     Raises ValueError when ``size`` is not a divisible size at all and
-    PackingError when every representation is proved to have no disjoint
-    packing.  Raises SearchCapError when none packed and at least one was
-    left undecided: no packing was found, but none was ruled out either.
+    PackingError when every representation of both sizes is proved to
+    have no disjoint packing.  Raises SearchCapError when neither size
+    packed and at least one representation was left undecided: no
+    packing was found, but none was ruled out either.
     """
     n, m = params.n, params.m
     sets = divisor_sets(n, m)
     if size not in sets.divisible_sizes:
         raise ValueError("size %d is not a divisible size for (%d, %d)"
                          % (size, n, m))
+    packed, undecided = _pack_size(m, size, sets.minimal_divisors)
+    if packed is not None:
+        return packed
+    packed, more = _pack_size(m, m - size, sets.minimal_divisors)
+    if packed is not None:
+        taken = set(packed)
+        return tuple(i for i in range(1, m + 1) if i not in taken)
+    if undecided or more:
+        raise SearchCapError(
+            "no coset packing of size %d or %d for (n, m) = (%d, %d) "
+            "found; %d representations reached the cap of %d backtracks "
+            "undecided" % (size, m - size, n, m, undecided + more,
+                           PACK_NODE_CAP))
+    raise PackingError(
+        "no disjoint coset packing of size %d or %d for (n, m) = (%d, %d)"
+        % (size, m - size, n, m))
+
+
+def _pack_size(m: int, size: int, minimal) -> tuple:
+    """(first packing of ``size`` or None, representations left undecided
+    at the cap)."""
     undecided = 0
-    for parts in _representations(size, sets.minimal_divisors):
+    for parts in _representations(size, minimal):
         try:
             packed = _pack_cosets(m, parts)
         except SearchCapError:
             undecided += 1
             continue
         if packed is not None:
-            return packed
-    if undecided:
-        raise SearchCapError(
-            "no coset packing of size %d for (n, m) = (%d, %d) found; %d "
-            "representations reached the cap of %d backtracks undecided"
-            % (size, n, m, undecided, PACK_NODE_CAP))
-    raise PackingError(
-        "no disjoint coset packing of size %d for (n, m) = (%d, %d)"
-        % (size, n, m))
+            return packed, undecided
+    return None, undecided
 
 
 def _pack_cosets(m: int, parts) -> tuple | None:

@@ -5,11 +5,18 @@ import os
 import subprocess
 
 import numpy as np
+from hypothesis import settings
 
 import primeframes
 from primeframes import FrameMatrix
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+# every property test runs the same 100 derandomized examples, with no
+# deadline and no example database, so runs repeat exactly
+settings.register_profile("primeframes", derandomize=True, max_examples=100,
+                          deadline=None, database=None)
+settings.load_profile("primeframes")
 
 
 def hexagon_frame() -> FrameMatrix:

@@ -198,6 +198,22 @@ def test_frames_tol_env_override(tmp_path, capsys, monkeypatch):
     assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_tol_is_an_error(tmp_path, capsys, monkeypatch, raw):
+    path = perturbed_frame_path(tmp_path)
+    monkeypatch.setenv("FRAMES_TOL", raw)
+    code, out, err = run_cli(capsys, ["analyze", "--input", path])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "FRAMES_TOL" in err
+    assert "positive and finite" in err
+    monkeypatch.delenv("FRAMES_TOL")
+    for sub in ("analyze", "factor"):
+        code, out, err = run_cli(capsys, [sub, "--input", path,
+                                          "--tol=" + raw])
+        assert code == 1 and out == ""
+        assert err == "error: tol must be positive and finite\n"
+
+
 def test_factor_command(tmp_path, capsys):
     path = os.path.join(tmp_path, "frame.json")
     write_frame(htf(HtfParams(2, 10)), path)

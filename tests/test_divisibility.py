@@ -1,18 +1,24 @@
+import time
 import tracemalloc
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import hexagon_frame, mercedes_frame
-from primeframes import (FrameMatrix, HtfParams, NotTightError,
+from conftest import hexagon_frame, mercedes_frame, random_unitary
+from primeframes import (EquivalenceData, FrameMatrix, HtfParams,
+                         NotTightError, apply_equivalence,
                          PrimeFactorization, SearchCapError, check_tight,
                          complement_certificate, dft_row_frame, find_divisor,
                          htf, is_prime_bruteforce, prime_factor_size_multisets,
                          prime_factorization, prime_parseval_extension,
                          random_tight_frame, robustness_counterexample_check,
                          stf, tight_subsets)
+from primeframes import divisibility
 from primeframes.divisibility import _FIRST_CHUNK, _coordinates
 from primeframes.frames import _bound_and_residual
 
@@ -497,3 +503,231 @@ def test_tight_subsets_rejects_non_positive_tol():
     for tol in (0.0, -1.0):
         with pytest.raises(ValueError, match="tol must be positive"):
             tight_subsets(htf(HtfParams(2, 4)), 2, tol=tol)
+
+
+def test_searches_reject_non_finite_tol():
+    # a NaN or infinite tol used to make every comparison false, so
+    # tight_subsets returned [] where [(1, 3), (2, 4)] is the answer
+    phi = htf(HtfParams(2, 4))
+    assert tight_subsets(phi, 2) == [(1, 3), (2, 4)]
+    for tol in (float("nan"), float("inf")):
+        for call in (lambda: tight_subsets(phi, 2, tol=tol),
+                     lambda: find_divisor(phi, tol=tol),
+                     lambda: is_prime_bruteforce(phi, tol=tol),
+                     lambda: prime_factorization(phi, tol=tol),
+                     lambda: complement_certificate(phi, (1, 3), tol=tol)):
+            with pytest.raises(ValueError,
+                               match="tol must be positive and finite"):
+                call()
+
+
+# --- the pivot-reduction proof against the kernel ---------------------------
+
+def kernel_only(monkeypatch):
+    """Patch the proof path away, so every search runs the kernel alone."""
+    monkeypatch.setattr(divisibility, "_proved_prime", lambda *args: False)
+
+
+def planted_split(n, a, b, seed):
+    """Two seeded tight frames of R^n side by side, columns shuffled."""
+    entries = np.hstack([random_tight_frame(n, a, seed).entries,
+                         random_tight_frame(n, b, seed + 1).entries])
+    perm = np.random.default_rng(seed).permutation(a + b)
+    return FrameMatrix(entries[:, perm], "real")
+
+
+def proof_frames():
+    out = [random_tight_frame(n, m, seed)
+           for n, m in ((2, 12), (2, 14), (3, 12), (3, 14), (3, 16), (4, 14),
+                        (4, 16), (5, 18))
+           for seed in range(2)]
+    out += [htf(HtfParams(2, 12)), htf(HtfParams(3, 13)),
+            htf(HtfParams(3, 14)), stf(3, 13), stf(4, 14), stf(5, 17),
+            dft_row_frame(2, 13), dft_row_frame(3, 13),
+            prime_parseval_extension(3, 12), prime_parseval_extension(4, 13)]
+    out += [planted_split(2, 5, 7, 1), planted_split(3, 6, 7, 2),
+            planted_split(3, 4, 9, 3), planted_split(4, 8, 8, 4)]
+    basis = random_tight_frame(3, 7, 5).entries
+    out.append(FrameMatrix.from_array(np.hstack([basis, basis])))
+    out.append(FrameMatrix.from_array(np.hstack(
+        [random_tight_frame(3, 11, 6).entries, np.zeros((3, 3))])))
+    return out
+
+
+@pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
+def test_proof_path_matches_the_kernel(tol, monkeypatch):
+    frames = proof_frames()
+    with_path = [(outcome(is_prime_bruteforce, phi, tol),
+                  outcome(find_divisor, phi, tol=tol)) for phi in frames]
+    used = []
+    reduce = divisibility._pivot_reduction
+    monkeypatch.setattr(divisibility, "_pivot_reduction",
+                        lambda *args: used.append(reduce(*args)) or used[-1])
+    for phi in frames:
+        is_prime_bruteforce(phi, tol)
+    assert sum(r is not None for r in used) >= len(frames) - 4
+    monkeypatch.undo()
+    kernel_only(monkeypatch)
+    assert with_path == [(outcome(is_prime_bruteforce, phi, tol),
+                          outcome(find_divisor, phi, tol=tol))
+                         for phi in frames]
+
+
+@pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
+def test_proof_path_factorizations_match_the_kernel(tol, monkeypatch):
+    frames = [phi for phi in proof_frames() if phi.m <= 14]
+    with_path = [outcome(prime_factorization, phi, tol) for phi in frames]
+    kernel_only(monkeypatch)
+    assert with_path == [outcome(prime_factorization, phi, tol)
+                         for phi in frames]
+
+
+def test_pivots_have_full_rank_and_are_well_conditioned():
+    for phi in proof_frames():
+        coords = _coordinates(phi.entries)
+        bound = check_tight(phi).bound
+        found = divisibility._pivot_reduction(
+            coords, range(phi.m), phi.n, bound, 1e-9, 1 << 60)
+        assert found is not None
+        pivots, forced, mu = found
+        assert 0 not in pivots and mu < 1e-3
+        traceless = coords[:, :-1].T
+        rest = traceless[:, 1:]
+        diag = np.abs(np.diag(scipy.linalg.qr(rest, pivoting=True)[1]))
+        rank = int(np.sum(diag > 1e-10 * diag[0]))
+        assert len(pivots) == rank
+        assert np.linalg.cond(traceless[:, pivots]) < 1e3
+        # C_p forced = C: the pivots reproduce every column
+        assert np.allclose(traceless[:, pivots] @ forced, traceless,
+                           atol=1e-9 * np.abs(traceless).max())
+
+
+def test_proof_path_decides_large_frames_quickly():
+    phi = random_tight_frame(4, 24, 0)
+    start = time.perf_counter()
+    assert is_prime_bruteforce(phi)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_proved_prime_frames_skip_the_kernel(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("kernel ran")
+
+    monkeypatch.setattr(divisibility, "_tight_parts", no_kernel)
+    for phi in (random_tight_frame(3, 16, 0), dft_row_frame(3, 13),
+                prime_parseval_extension(3, 12), stf(5, 13)):
+        assert is_prime_bruteforce(phi)
+        assert find_divisor(phi) is None
+    # too small to pay for the set-up: the kernel searches
+    with pytest.raises(AssertionError, match="kernel ran"):
+        is_prime_bruteforce(random_tight_frame(3, 9, 0))
+
+
+def count_redecisions(monkeypatch, call):
+    """The value of call() and how often the proof path ran the exact
+    rule."""
+    seen = []
+    exact = divisibility._bound_and_residual
+    monkeypatch.setattr(divisibility, "_bound_and_residual",
+                        lambda entries: seen.append(1) or exact(entries))
+    value = call()
+    monkeypatch.undo()
+    return value, len(seen)
+
+
+def axis_columns(axis, weights):
+    """Columns sqrt(w) e_axis of R^2."""
+    return [tuple(np.sqrt(w) * (k == axis) for k in range(2)) for w in weights]
+
+
+def test_mu_margin_is_wide_enough():
+    # every column lies on e1 or e2, so the traceless coordinates have
+    # rank 1 and the one pivot p sees |x_p - y| = |a_J - b_J| / w_p for a
+    # subset J with e1 weight a_J and e2 weight b_J, against mu of about
+    # 2 tol B / w_p.  J = columns 1..11 holds 84% of the bound B and sits
+    # at the tolerance: tol is J's own residual, so |a_J - b_J| is about
+    # 2 tol a_J and the deviation is 84% of mu.  The complement is exactly
+    # balanced, so J is the only divisor holding column 1.
+    e1 = [np.sqrt(q) for q in (10, 3, 5, 0.8, 1.9, 2.3)]
+    e2 = [np.sqrt(q) for q in (8, 2.6, 1.3, 0.6)]
+    e2.append(sum(e1) * (1 - 1e-6) - sum(e2))
+    phi = FrameMatrix.from_columns(axis_columns(0, e1) + axis_columns(1, e2)
+                                   + axis_columns(0, [2.0])
+                                   + axis_columns(1, [2.0]))
+    subset = tuple(range(1, 12))
+    tol = _bound_and_residual(phi.entries[:, list(range(11))])[1]
+    assert 1e-7 < tol < 1e-6 and check_tight(phi, tol).is_tight
+    coords = _coordinates(phi.entries)
+    sizes = range(2, 12)
+    work = sum(comb(12, s - 1) for s in sizes)
+    reduced = divisibility._pivot_reduction(
+        coords, range(13), 2, check_tight(phi).bound, tol, work)
+    assert reduced is not None and len(reduced[0]) == 1
+    cert = find_divisor(phi, tol=tol)
+    assert cert is not None and cert.subset == subset
+    assert cert == reference_find_divisor(phi, tol)
+    assert not is_prime_bruteforce(phi, tol)
+
+
+def test_survivors_are_redecided_only_inside_the_mu_window(monkeypatch):
+    # a 45-degree column of weight 2 and two -45-degree columns of weight
+    # 1 add up to 2 I.  Their pivot sees y = (x_2 + x_3) / 2, so every
+    # assignment that takes both or neither passes the first-pivot screen;
+    # only the e1/e2 balance, checked on the second pivot, rules them out.
+    # The one divisor holding column 1 is the e1/e2 part, which comes last
+    # in the enumeration.
+    e1 = [0.9 * np.sqrt(q) / k
+          for q, k in ((2, 1), (3, 2), (5, 2), (7, 3), (11, 3))]
+    e2 = [0.9 * np.sqrt(q) / k for q, k in ((13, 3), (17, 4), (19, 4))]
+    e2.append(sum(e1) - sum(e2))
+    diagonal = [(1.0, 1.0), (0.5 ** 0.5, -(0.5 ** 0.5)),
+                (0.5 ** 0.5, -(0.5 ** 0.5))]
+    cols = (axis_columns(0, e1[:1]) + diagonal[1:] + diagonal[:1]
+            + axis_columns(0, e1[1:]) + axis_columns(1, e2))
+    phi = FrameMatrix.from_columns(cols)
+    entries = phi.entries
+    coords = _coordinates(entries)
+    bound = check_tight(phi).bound
+    sizes = range(2, phi.m - 1)
+    pivots, forced, _ = divisibility._pivot_reduction(
+        coords, range(phi.m), 2, bound, 1e-9, 1 << 60)
+    assert pivots[0] == 3 and np.allclose(forced[0, [1, 2]], -0.5)
+    proved, redecided = count_redecisions(
+        monkeypatch, lambda: divisibility._proved_prime(
+            entries, coords, range(phi.m), sizes, bound, 1e-9))
+    assert not proved and redecided == 1
+    cert = find_divisor(phi)
+    assert cert.subset == (1,) + tuple(range(5, 13))
+    # a prime frame: 2^10 assignments and nothing to re-decide
+    phi = random_tight_frame(3, 16, 0)
+    proved, redecided = count_redecisions(
+        monkeypatch, lambda: is_prime_bruteforce(phi))
+    assert proved and redecided == 1  # the tightness check of the frame
+
+
+@st.composite
+def equivalent_frames(draw):
+    """A seeded tight frame, prime or a planted split, and an equivalent
+    frame psi_i = c_i U phi_perm(i) with a complex unitary U, so that a
+    real frame is searched through complex coordinates as well."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(2 * n, 14))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        phi = random_tight_frame(n, m, seed)
+    else:
+        a = draw(st.integers(n, m - n))
+        phi = planted_split(n, a, m - a, seed)
+    rng = np.random.default_rng(seed)
+    scale = draw(st.floats(0.5, 2.0))
+    eq = EquivalenceData(random_unitary(rng, n),
+                         tuple(int(i) + 1 for i in rng.permutation(m)),
+                         scale * np.exp(2j * np.pi * rng.random(m)))
+    return phi, apply_equivalence(phi, eq)
+
+
+@given(equivalent_frames())
+def test_primality_is_invariant_under_equivalence(pair):
+    phi, psi = pair
+    assert is_prime_bruteforce(psi) == is_prime_bruteforce(phi)
+    assert (find_divisor(psi) is None) == (find_divisor(phi) is None)

@@ -77,6 +77,15 @@ def test_check_tight_verdicts():
         check_tight(lopsided, tol=0.0)
 
 
+def test_check_tight_rejects_non_finite_tol():
+    phi = htf(HtfParams(2, 4))
+    for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError,
+                           match="tol must be positive and finite"):
+            check_tight(phi, tol)
+    assert check_tight(phi, 1e-3).is_tight
+
+
 def test_check_tight_rejects_zero_frame():
     rep = check_tight(FrameMatrix.from_array(np.zeros((2, 3))))
     assert not rep.is_tight and rep.bound == 0.0

@@ -493,10 +493,10 @@ def test_htf_divisor_of_size_formerly_hanging_sizes(n, m, size):
     assert_tight_packing(n, m, size, subset)
 
 
-@pytest.mark.parametrize("n, m, size", [(4, 36, 13), (4, 84, 67)])
+@pytest.mark.parametrize("n, m, size", [(4, 36, 13)])
 def test_htf_divisor_of_size_refutes_impossible_packings(n, m, size):
     # 13 = 9 + 4 in Z_36: a 9-coset and a 4-coset always meet, since the
-    # steps 4 and 9 are coprime
+    # steps 4 and 9 are coprime; the complement size 23 is refuted too
     assert size in divisor_sets(n, m).divisible_sizes
     start = time.perf_counter()
     with pytest.raises(PackingError):
@@ -504,16 +504,35 @@ def test_htf_divisor_of_size_refutes_impossible_packings(n, m, size):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("n, m, size", [(4, 84, 67), (5, 120, 101)])
+def test_htf_divisor_of_size_packs_the_complement(n, m, size):
+    # no disjoint union of cosets has size 67 (or 101), but one of size
+    # 17 (or 19) exists, and its complement is a tight subset
+    start = time.perf_counter()
+    subset = htf_divisor_of_size(HtfParams(n, m), size)
+    assert time.perf_counter() - start < 1.0
+    assert_tight_packing(n, m, size, subset)
+    rest = [i for i in range(1, m + 1) if i not in subset]
+    assert rest == list(htf_divisor_of_size(HtfParams(n, m), m - size))
+
+
 def test_htf_divisor_of_size_undecided_at_cap(monkeypatch):
     # with room for only two backtracks, 9 of the 16 representations of
-    # 67 stop undecided (all 16 are refuted under the real cap), so the
-    # search must not claim that no packing exists
+    # 67 stop undecided, but size 17 still packs, so its complement is
+    # returned
     monkeypatch.setattr(harmonic, "PACK_NODE_CAP", 2)
-    with pytest.raises(SearchCapError):
-        htf_divisor_of_size(HtfParams(4, 84), 67)
+    assert_tight_packing(4, 84, 67, htf_divisor_of_size(HtfParams(4, 84), 67))
     with pytest.raises(PackingError):
         htf_divisor_of_size(HtfParams(4, 36), 13)
     assert htf_divisor_of_size(HtfParams(2, 10), 5) == (1, 3, 5, 7, 9)
+    # with no backtrack allowed, neither 14 nor 26 packs in Z_40 and some
+    # representations stop undecided, so the search must not claim that
+    # no packing exists; under the real cap 14 packs directly
+    monkeypatch.setattr(harmonic, "PACK_NODE_CAP", 0)
+    with pytest.raises(SearchCapError):
+        htf_divisor_of_size(HtfParams(3, 40), 14)
+    monkeypatch.undo()
+    assert_tight_packing(3, 40, 14, htf_divisor_of_size(HtfParams(3, 40), 14))
 
 
 def test_htf_divisor_of_size_rejects_non_divisible_sizes():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import analyze_direct
@@ -133,7 +133,6 @@ def transform_cases(draw):
     return n, m, p, batch, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
 @given(transform_cases())
 def test_property_synthesis_inverts_analysis(case):
     n, m, p, batch, seed = case
@@ -144,7 +143,6 @@ def test_property_synthesis_inverts_analysis(case):
     assert np.max(np.abs(back - x)) < 1e-12
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
 @given(transform_cases())
 def test_property_fast_analysis_matches_naive(case):
     n, m, p, batch, seed = case
