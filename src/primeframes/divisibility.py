@@ -34,37 +34,53 @@ Subsets are produced from their colex ranks through the combinatorial
 number system; within one size, colex rank order is ascending bitmask
 order.  Chunks start small and grow, so a search that ends at an early
 certificate stays cheap, and a size class is never held in memory whole.
+Pools of at most _TABLE_WIDTH columns read each chunk as a slice of a
+read-only table of their size class (unranked subsets and 0/1 rows),
+built once per pool width and size; wider pools unrank every chunk.
 
-The proof path (pivot reduction) decides primality with far fewer
-rows.  Let C be the matrix whose columns are the traceless coordinates,
-so that T_J = C x for the 0/1 indicator x of J.  Take r pivot columns p
-of C with full column rank and call the others free.  Since C_p^+ C_p =
-I, every subset satisfies x_p = C_p^+ T_J - C_p^+ C_f x_f exactly.  An
-accepted J has ||T_J|| <= tol ||S_J|| <= tol ||S||, because S_J is PSD
-and S_J <= S, and ||S|| = sqrt(n) B / sqrt(1 - residual^2) for the frame
-searched.  So every pivot entry of an accepted subset lies within
+The reduction path (pivot reduction) decides primality and the first
+certificate with far fewer rows.  Let C be the matrix whose columns are
+the traceless coordinates, so that T_J = C x for the 0/1 indicator x of
+J.  Take r pivot columns p of C with full column rank and call the others
+free.  Since C_p^+ C_p = I, every subset satisfies x_p = C_p^+ T_J -
+C_p^+ C_f x_f exactly.  An accepted J has ||T_J|| <= tol ||S_J|| <= tol
+||S||, because S_J is PSD and S_J <= S, and ||S|| = sqrt(n) B / sqrt(1 -
+residual^2) for the frame searched.  So every pivot entry of an accepted
+subset lies within
 
     mu = ||C_p^+||_2 (tol + delta) sqrt(n / (1 - tol^2)) B + rounding
 
 of the matching entry of -C_p^+ C_f x_f, and so within mu of 0 or 1.
-||C_p^+||_2 is bounded by ||R^-1||_F, with R the Cholesky factor of the
+||C_p^+||_2 is bounded by ||L^-1||_F, with L the Cholesky factor of the
 pivots' Gram matrix, and the rounding term bounds the error of computing
 C_p^+ C_f and the sums.  The path enumerates the 2^(m-r-1) assignments
 x_f with column 1 pinned to 1 (column 1 is never a pivot), screens them
-on the first pivot, and re-decides every assignment whose pivot entries
-all lie within mu of 0 or 1, with the rounded entries as x_p, by the
-exact rule.  If none is accepted the frame is prime.  At the first one
-accepted the path stops and the kernel searches, so that the kernel
-alone gives every certificate.  The pivots are the r columns of largest
-norm when their Gram matrix is well conditioned, else those of a
-pivoted Cholesky factorization; r is at most the rank of C, which is
-n(n+1)/2 - 1 for real and n^2 - 1 for complex frames.
+on the first pivot, checks the survivors on every pivot at once, and
+takes the rounded entries as x_p.  Every subset the exact rule accepts is
+such a survivor, so the path sees them all: it orders the survivors of
+each chunk by (size, bitmask), re-decides them by the exact rule in that
+order, and keeps the least accepted one.  If none is accepted the frame
+is prime; otherwise the least accepted subset is exactly the kernel's
+first certificate.  (The assignment with every free column in is the
+whole frame, whose pivots the bound forces to 1, so it is skipped.)  The
+pivots are the r columns of largest norm when their Gram matrix is well
+conditioned, else those of a pivoted Cholesky factorization; r is at
+most the rank of C, which is n(n+1)/2 - 1 for real and n^2 - 1 for
+complex frames.  Coordinates that stay at rounding level on every column
+lower that bound, and when they do, the largest-norm Gram matrix would
+be singular, so only the pivoted Cholesky choice is tried.
 
-A search over all sizes tries the proof path first when mu < 1/4 and its
-2^(m-r-1) rows plus _PROOF_SETUP_ROWS, its set-up cost in kernel rows,
-are fewer than the kernel's subset count for the sizes searched.
-Otherwise, and for searches restricted to some sizes, the kernel runs
-alone.
+A search over all sizes tries the reduction first when mu < 1/4 and its
+2^(m-r-1) rows plus _REDUCTION_SETUP_ROWS, its set-up cost in kernel rows,
+are fewer than the kernel's subset count for the sizes searched.  Its
+chunks start at 2^_LOW_BITS rows and double.  After each chunk with an
+accepted subset, it compares the rows it still has to enumerate with the
+kernel rows that reach that subset (the smaller sizes in full, plus the
+subset's colex rank, plus 1); when its own are more, it hands over to
+the kernel, which stops at the first certificate, at or before that
+subset.  A frame rich in divisors thus pays one chunk of the reduction
+and a short kernel search.  Otherwise, and for searches restricted to
+some sizes, the kernel runs alone.
 
 Enumeration is exponential in m, so searches refuse frames with more
 than SEARCH_CAP vectors unless forced.
@@ -87,13 +103,16 @@ _DELTA = 1e-12
 _FIRST_CHUNK = 16
 _MAX_CHUNK = 4096
 _RANK_LIMIT = 1 << 62
-# the proof path's fixed cost in kernel rows, at the kernel's 0.25 us per
+# the reduction's fixed cost in kernel rows, at the kernel's 0.25 us per
 # row on a 2-CPU x86-64 Xeon: about 0.1 ms (400 rows) in a warm loop and
 # 0.2 ms (800 rows) among the benchmark's other searches
-_PROOF_SETUP_ROWS = 1024
+_REDUCTION_SETUP_ROWS = 1024
 _LOW_BITS = 10
-_PROOF_CHUNK = 1 << 14
+_REDUCTION_CHUNK = 1 << 14
 _PIVOT_FLOOR = 1e-10
+# pools of at most this many columns read their size classes from tables
+# (all of them together about 1.1 MB)
+_TABLE_WIDTH = 12
 _EPS = float(np.finfo(float).eps)
 
 
@@ -161,17 +180,16 @@ def _coordinates(entries: np.ndarray) -> np.ndarray:
     if entries.imag.any():
         power = entries.real ** 2 + entries.imag ** 2
         off = entries[rows] * entries[cols].conj()
+        off = [off.real, off.imag] if off.imag.any() else [off.real]
     else:
         # the same values in real arithmetic: no imaginary rows follow
         entries = entries.real
         power = entries * entries
-        off = entries[rows] * entries[cols]
+        off = [entries[rows] * entries[cols]]
     trace = power.sum(axis=0)
-    parts = [power - trace / n, sqrt(2.0) * off.real]
-    if np.any(off.imag):
-        parts.append(sqrt(2.0) * off.imag)
+    parts = [power - trace / n] + [sqrt(2.0) * o for o in off]
     parts.append(trace[None, :])
-    return np.ascontiguousarray(np.vstack(parts).T)
+    return np.concatenate(parts).T.copy()
 
 
 def _unrank(ranks: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
@@ -187,6 +205,35 @@ def _unrank(ranks: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
         out[j - 1] = pos
         rest -= column.take(pos)
     return out
+
+
+def _picks(members: np.ndarray, width: int) -> np.ndarray:
+    """0/1 rows over a pool of ``width`` columns, one per member column."""
+    count = members.shape[1]
+    picks = np.zeros((count, width))
+    picks.ravel()[members + width * np.arange(count)] = 1.0
+    return picks
+
+
+@lru_cache(maxsize=None)
+def _size_class_table(width: int, k: int) -> tuple:
+    """Every k-subset of a pool of ``width`` columns in colex order, as
+    ``_unrank`` gives them and as 0/1 rows, both read-only."""
+    members = _unrank(np.arange(comb(width, k), dtype=np.int64), k,
+                      _binomials(width))
+    return _frozen(members), _frozen(_picks(members, width))
+
+
+def _size_class(width: int, k: int, start: int, stop: int) -> tuple:
+    """Pool positions and 0/1 rows of the k-subsets with colex ranks
+    start .. stop - 1; pools of at most _TABLE_WIDTH columns read them
+    from a table built once."""
+    if width <= _TABLE_WIDTH:
+        members, picks = _size_class_table(width, k)
+        return members[:, start:stop], picks[start:stop]
+    members = _unrank(np.arange(start, stop, dtype=np.int64), k,
+                      _binomials(width))
+    return members, _picks(members, width)
 
 
 def _tight_parts(entries, coords, cols, sizes, pinned, bound, tol):
@@ -211,7 +258,6 @@ def _tight_parts(entries, coords, cols, sizes, pinned, bound, tol):
     slack = (tol + _DELTA) ** 2
     low = tol - _DELTA * bound
     high = bound - tol + _DELTA * bound
-    table = _binomials(width)
     chunk = _FIRST_CHUNK
     for size in sizes:
         k = size - len(lead)
@@ -223,10 +269,7 @@ def _tight_parts(entries, coords, cols, sizes, pinned, bound, tol):
         start = 0
         while start < total:
             stop = min(start + chunk, total)
-            members = _unrank(np.arange(start, stop, dtype=np.int64), k,
-                              table)
-            picks = np.zeros((stop - start, width))
-            picks.ravel()[members + width * np.arange(stop - start)] = 1.0
+            members, picks = _size_class(width, k, start, stop)
             sums = picks @ points
             sums += base
             traceless = sums[:, :d]
@@ -299,9 +342,9 @@ def _greedy_pivots(gram, most, floor) -> list:
         p = int(room.argmax())
         if room[p] <= 0.0:
             break
-        line = gram[p] - low[:, p].dot(low)
+        line = low[j]
+        np.subtract(gram[p], low[:j, p].dot(low[:j]), out=line)
         line *= 1.0 / sqrt(line[p])
-        low[j] = line
         room -= line * line
         room[p] = -np.inf
         pivots.append(p)
@@ -313,25 +356,27 @@ def _forcing(gram, norms, pivots, margin, rounding):
 
     forced = C_p^+ C = G_pp^-1 G_p. for the Gram matrix G of the
     traceless coordinates, whose diagonal is ``norms``, and
-    ||C_p^+||_2^2 <= trace(G_pp^-1) = ||R^-1||_F^2 for G_pp = R^T R.
-    ``rounding`` is a multiple of eps.  It is scaled by trace(G_pp)
-    trace(G_pp^-1), which bounds the condition number of G_pp, and by
-    1 + sqrt(trace(G_pp^-1) m trace(G)), which bounds every row sum of
-    |forced|.  Dependent pivots make that condition number about 1/eps,
-    so mu >= 1/4 refuses them.
+    ||C_p^+||_2^2 <= trace(G_pp^-1) = ||L^-1||_F^2 for the Cholesky
+    factor L of G_pp.  ``rounding`` is a multiple of eps.  It is scaled
+    by trace(G_pp) trace(G_pp^-1), which bounds the condition number of
+    G_pp, and by 1 + sqrt(trace(G_pp^-1) m trace(G)), which bounds every
+    row sum of |forced|.  Dependent pivots make that condition number
+    about 1/eps, so mu >= 1/4 refuses them.  The trace is summed from
+    the squares of L^-1: the trace of a computed inverse of a singular
+    G_pp can come out small and positive.
     """
     rows = gram.take(pivots, axis=0)
     try:
-        inv = np.linalg.inv(rows.take(pivots, axis=1))
+        linv = np.linalg.inv(np.linalg.cholesky(rows.take(pivots, axis=1)))
     except np.linalg.LinAlgError:
         return None
-    spread = inv.trace()
+    spread = float(np.vdot(linv, linv))
     if not 0.0 < spread < np.inf:
         return None
     scale = sum(norms[p] for p in pivots)
     mu = sqrt(spread) * margin + rounding * spread * scale * (
         1.0 + sqrt(spread * len(norms) * sum(norms)))
-    return (inv.dot(rows), mu) if mu < 0.25 else None
+    return (linv.T.dot(linv.dot(rows)), mu) if mu < 0.25 else None
 
 
 def _pivot_reduction(coords, cols, n, bound, tol, work):
@@ -343,15 +388,18 @@ def _pivot_reduction(coords, cols, n, bound, tol, work):
     with indicator x has x_p within mu of -forced @ x_f in every entry,
     where x_p is x on the pivots and x_f is x with the pivots set to 0.
     The columns of largest norm are tried as pivots first, then the
-    greedy choice.  Returns None when 2^(free columns - 1) rows plus
-    _PROOF_SETUP_ROWS are not fewer than ``work`` kernel rows, or when
-    mu >= 1/4.
+    greedy choice; when fewer coordinates than pivots are live (their sum
+    of squares over the columns above _PIVOT_FLOOR times the total), the
+    largest-norm Gram matrix would be singular and the greedy choice is
+    the only one tried.  Returns None
+    when 2^(free columns - 1) rows plus _REDUCTION_SETUP_ROWS are not fewer
+    than ``work`` kernel rows, or when mu >= 1/4.
     """
     width = len(cols) - 1
     d = coords.shape[1] - 1
     most = min(d - 1, width)  # the n diagonal coordinates sum to zero
     work = min(work, _RANK_LIMIT)
-    if (1 << (width - most)) + _PROOF_SETUP_ROWS >= work or tol >= 1.0:
+    if (1 << (width - most)) + _REDUCTION_SETUP_ROWS >= work or tol >= 1.0:
         return None
     # ||T_J|| <= tol ||S_J|| <= tol ||S||, and ||S||^2 (1 - residual^2)
     # = n bound^2 since S - bound I is traceless
@@ -361,70 +409,115 @@ def _pivot_reduction(coords, cols, n, bound, tol, work):
     c = c[:, :d]
     gram = c.dot(c.T)
     norms = gram.diagonal().tolist()
-    largest = sorted(range(1, width + 1), key=norms.__getitem__,
-                     reverse=True)[:most]
-    for choose in (lambda: largest,
-                   lambda: _greedy_pivots(gram, most, (64.0 * margin) ** 2)):
-        pivots = choose()
-        if (1 << (width - len(pivots))) + _PROOF_SETUP_ROWS >= work:
+    # coordinates at rounding level on every column add no rank, and the
+    # n diagonal ones sum to zero
+    floor = _PIVOT_FLOOR * sum(norms)
+    live = [e > floor for e in np.einsum("ij,ij->j", c, c).tolist()]
+    rank = sum(live[n:]) + max(sum(live[:n]) - 1, 0)
+    if rank < most:
+        most = rank
+        if (1 << (width - most)) + _REDUCTION_SETUP_ROWS >= work:
             return None
-        found = _forcing(gram, norms, pivots, margin, rounding)
+    else:
+        largest = sorted(range(1, width + 1), key=norms.__getitem__,
+                         reverse=True)[:most]
+        found = _forcing(gram, norms, largest, margin, rounding)
         if found is not None:
-            return (pivots,) + found
-    return None
+            return (largest,) + found
+    pivots = _greedy_pivots(gram, most, (64.0 * margin) ** 2)
+    if (1 << (width - len(pivots))) + _REDUCTION_SETUP_ROWS >= work:
+        return None
+    found = _forcing(gram, norms, pivots, margin, rounding)
+    return None if found is None else (pivots,) + found
 
 
-def _proved_prime(entries, coords, cols, sizes, bound, tol) -> bool:
-    """True when pivot reduction proves that the exact rule accepts no
-    subset of ``cols`` that holds cols[0] and has a size in ``sizes``.
+def _reduction_search(entries, coords, cols, sizes, bound, tol):
+    """The first subset of ``cols`` that the exact rule accepts, found by
+    pivot reduction, or None when the kernel has to search.
 
-    False when it finds such a subset, or when the reduction does not pay
-    (see ``_pivot_reduction``), so that the kernel has to search.
+    Subsets hold cols[0] and have a size in the range ``sizes``.  Returns
+    [] when no subset is accepted (the frame is prime) and [(index list,
+    subset bound)] for the least accepted subset in the kernel's order
+    (size, then ascending bitmask), which is the kernel's first
+    certificate.  Returns None when the reduction does not pay (see
+    ``_pivot_reduction``), or when, after a chunk, its rows still to
+    enumerate outnumber the kernel rows up to the best subset so far.
     """
     width = len(cols) - 1
-    if 1 << width <= _PROOF_SETUP_ROWS:  # the kernel has under 2^width rows
-        return False
+    if 1 << width <= _REDUCTION_SETUP_ROWS:  # under 2^width kernel rows
+        return None
     work = sum(comb(width, s - 1) for s in sizes)
     reduction = _pivot_reduction(coords, cols, entries.shape[0], bound, tol,
                                  work)
     if reduction is None:
-        return False
+        return None
     pivots, forced, mu = reduction
-    cols = list(cols)
     free = [i for i in range(1, width + 1) if i not in pivots]
     low = min(len(free), _LOW_BITS)
     high = free[low:]
     # position 0 is always in; forced @ x_f + 1/2 must lie within mu of
     # -1/2 or 1/2 in every entry.  Screen on the first pivot, with the
-    # low free bits tabulated, then check each survivor whole.
+    # low free bits tabulated, then check the survivors on every pivot.
     table = forced[0].take(free[:low]).dot(_bit_columns(low))
     table += forced[0, 0] + 0.5
-    step = max(1, _PROOF_CHUNK >> low)
-    for start in range(0, 1 << len(high), step):
+    blocks = 1 << len(high)
+    best = None  # key, positions in cols, subset bound
+    start, step = 0, 1
+    while start < blocks:
+        stop = min(start + step, blocks)
         dev = table
         if high:
-            ranks = np.arange(start, min(start + step, 1 << len(high)))
-            lift = ((ranks[:, None] >> np.arange(len(high))) & 1).dot(
-                forced[0].take(high))
+            lift = ((np.arange(start, stop)[:, None] >> np.arange(len(high)))
+                    & 1).dot(forced[0].take(high))
             dev = np.add.outer(lift, table).ravel()
         np.abs(dev, out=dev)
         dev -= 0.5
         np.abs(dev, out=dev)
-        for flat in (dev <= mu).nonzero()[0].tolist():
-            rank = start << low | flat
-            members = [0] + [i for b, i in enumerate(free) if rank >> b & 1]
-            shifted = (forced.take(members, axis=1).sum(axis=1)
-                       + 0.5).tolist()
-            if max(abs(abs(v) - 0.5) for v in shifted) > mu:
-                continue
-            members += [p for p, v in zip(pivots, shifted) if v < 0.0]
-            if len(members) not in sizes:
-                continue
-            sub_bound, residual = _bound_and_residual(
-                entries[:, sorted(cols[i] for i in members)])
-            if residual <= tol and tol < sub_bound < bound - tol:
-                return False
-    return True
+        if stop == blocks:
+            # every free column in: the whole frame is tight, so the pivots
+            # are forced to 1 and the size m is never searched
+            dev[-1] = 1.0
+        flat = (dev <= mu).nonzero()[0]
+        if len(flat):
+            bits = ((flat + (start << low))[:, None]
+                    >> np.arange(len(free))) & 1
+            shifted = bits.dot(forced.take(free, axis=1).T)
+            shifted += forced[:, 0] + 0.5
+            whole = np.abs(np.abs(shifted) - 0.5).max(axis=1) <= mu
+            bits, taken = bits[whole], shifted[whole] < 0.0
+            size = bits.sum(axis=1) + taken.sum(axis=1) + 1
+            fits = (size >= sizes.start) & (size < sizes.stop)
+            size = size[fits]
+            # bit p - 1 for position p, in Python ints past 63 positions
+            kind = np.int64 if width < 64 else object
+            weights = np.array([1 << (p - 1) for p in free + pivots], kind)
+            mask = (bits[fits].dot(weights[:len(free)])
+                    + taken[fits].dot(weights[len(free):]))
+            for _ in range(len(size)):  # least (size, mask) first
+                rows = (size == size.min()).nonzero()[0]
+                row = rows[mask[rows].argmin()]
+                key = int(size[row]), int(mask[row])
+                if best is not None and key >= best[0]:
+                    break
+                members = [0] + [p for p in range(1, width + 1)
+                                 if (key[1] >> (p - 1)) & 1]
+                sub_bound, residual = _bound_and_residual(
+                    entries[:, [cols[i] for i in members]])
+                if residual <= tol and tol < sub_bound < bound - tol:
+                    best = key, members, sub_bound
+                    break
+                size[row] = width + 2  # rejected: never the least again
+        start = stop
+        step = min(2 * step, max(1, _REDUCTION_CHUNK >> low))
+        if best is not None and start < blocks:
+            members = best[1]
+            reach = sum(comb(width, s - 1) for s in sizes if s < len(members))
+            reach += sum(comb(p - 1, j) for j, p in enumerate(members) if j)
+            if (blocks - start) << low > reach + 1:
+                return None
+    if best is None:
+        return []
+    return [([cols[i] for i in best[1]], best[2])]
 
 
 def _first_divisor(entries, coords, cols, bound, tol, sizes=None):
@@ -432,17 +525,20 @@ def _first_divisor(entries, coords, cols, bound, tol, sizes=None):
     bound ``bound``, as (index list, subset bound, complement bound), or
     None if prime.
 
-    Subsets hold cols[0] and go by size, then ascending bitmask; by
-    default every size in [n, len(cols) - n] is searched, and a proof of
-    primality by pivot reduction is tried before the kernel.
+    Subsets hold cols[0] and go by size, then ascending bitmask.  By
+    default every size in [n, len(cols) - n] is searched, and pivot
+    reduction (``_reduction_search``) decides the verdict and the first
+    certificate unless it does not pay or hands over to the kernel;
+    searches restricted to ``sizes`` run the kernel alone.
     """
     n = entries.shape[0]
+    found = None
     if sizes is None:
         sizes = range(n, len(cols) - n + 1)
-        if _proved_prime(entries, coords, cols, sizes, bound, tol):
-            return None
-    for part, sub_bound in _tight_parts(entries, coords, cols, sizes, True,
-                                        bound, tol):
+        found = _reduction_search(entries, coords, cols, sizes, bound, tol)
+    if found is None:
+        found = _tight_parts(entries, coords, cols, sizes, True, bound, tol)
+    for part, sub_bound in found:
         return part, sub_bound, _check_complement(entries, cols, part, tol)
     return None
 
@@ -479,9 +575,11 @@ def is_prime_bruteforce(phi: FrameMatrix, tol: float = DEFAULT_TOL,
 
     With fewer than 2n vectors no proper subset can be tight with a tight
     complement (the smaller part could not span), so the search is skipped.
-    Otherwise the frame is proved prime by pivot reduction when that is
-    cheaper than the kernel (see the module docstring), else by the
-    kernel; both give the verdict of checking every subset.
+    Otherwise it runs the search of ``find_divisor``: pivot reduction when
+    that is cheaper than the kernel, handing over to the kernel when a
+    divisor it meets is closer in kernel rows than the end of its own
+    enumeration (see the module docstring).  Every path gives the verdict
+    of checking every subset.
     """
     bound = _require_tight(phi, tol)
     if phi.m < 2 * phi.n:

@@ -524,8 +524,9 @@ def test_searches_reject_non_finite_tol():
 # --- the pivot-reduction proof against the kernel ---------------------------
 
 def kernel_only(monkeypatch):
-    """Patch the proof path away, so every search runs the kernel alone."""
-    monkeypatch.setattr(divisibility, "_proved_prime", lambda *args: False)
+    """Patch the reduction path away, so every search runs the kernel
+    alone."""
+    monkeypatch.setattr(divisibility, "_reduction_search", lambda *args: None)
 
 
 def planted_split(n, a, b, seed):
@@ -534,6 +535,12 @@ def planted_split(n, a, b, seed):
                          random_tight_frame(n, b, seed + 1).entries])
     perm = np.random.default_rng(seed).permutation(a + b)
     return FrameMatrix(entries[:, perm], "real")
+
+
+def shuffled(entries, rng):
+    """The frame on ``entries`` with its columns in a seeded order."""
+    order = rng.permutation(entries.shape[1])
+    return FrameMatrix.from_array(entries[:, order])
 
 
 def proof_frames():
@@ -602,6 +609,25 @@ def test_pivots_have_full_rank_and_are_well_conditioned():
                            atol=1e-9 * np.abs(traceless).max())
 
 
+def test_dependent_pivots_are_refused():
+    # three seeded tight frames of R^4, two of them orthonormal bases,
+    # columns shuffled.  Many columns share the largest norm, and the nine
+    # of largest norm (or the first nine the greedy choice saw) were
+    # dependent, with condition numbers near 1e16.  The computed inverse
+    # of their Gram matrix still had a small trace, so mu came out near
+    # 1e-8 and the proof path called these divisible frames prime.
+    for sizes, seed in (((4, 4, 4), 110), ((4, 4, 6), 224), ((4, 4, 6), 296)):
+        rng = np.random.default_rng(seed)
+        phi = shuffled(np.hstack([random_tight_frame(4, a, seed + i).entries
+                                  for i, a in enumerate(sizes)]), rng)
+        coords = _coordinates(phi.entries)
+        pivots, forced, mu = divisibility._pivot_reduction(
+            coords, range(phi.m), 4, check_tight(phi).bound, 1e-9, 1 << 60)
+        assert np.linalg.cond(coords[pivots, :-1]) < 1e3 and mu < 1e-3
+        assert not is_prime_bruteforce(phi)
+        assert find_divisor(phi) == reference_find_divisor(phi, 1e-9)
+
+
 def test_proof_path_decides_large_frames_quickly():
     phi = random_tight_frame(4, 24, 0)
     start = time.perf_counter()
@@ -621,6 +647,59 @@ def test_proved_prime_frames_skip_the_kernel(monkeypatch):
     # too small to pay for the set-up: the kernel searches
     with pytest.raises(AssertionError, match="kernel ran"):
         is_prime_bruteforce(random_tight_frame(3, 9, 0))
+
+
+def test_reduction_gives_certificates_without_the_kernel(monkeypatch):
+    # the planted split is the only divisor, so the reduction meets it
+    # late and enumerates to the end: its least accepted subset is the
+    # certificate and the kernel never runs
+    frames = [planted_split(3, 7, 7, 2), planted_split(3, 10, 10, 3),
+              planted_split(4, 8, 8, 4)]
+    expected = [reference_find_divisor(phi, 1e-9) for phi in frames[:1]]
+    kernel_only(monkeypatch)
+    expected += [find_divisor(phi) for phi in frames[1:]]
+    monkeypatch.undo()
+
+    def no_kernel(*args):
+        raise AssertionError("kernel ran")
+
+    monkeypatch.setattr(divisibility, "_tight_parts", no_kernel)
+    assert [find_divisor(phi) for phi in frames] == expected
+    assert all(cert is not None for cert in expected)
+
+
+def test_reduction_hands_over_on_divisor_rich_frames():
+    # {1, 2, 3} is the first divisor of three copies of the standard
+    # basis: one kernel row reaches it, so after its first chunk the
+    # reduction hands over instead of enumerating 2^15 assignments
+    phi = FrameMatrix.from_array(np.hstack([np.eye(3)] * 6))
+    coords = _coordinates(phi.entries)
+    found = divisibility._reduction_search(
+        phi.entries, coords, range(18), range(3, 16), 6.0, 1e-9)
+    assert found is None
+    assert divisibility._pivot_reduction(
+        coords, range(18), 3, 6.0, 1e-9, 1 << 60) is not None
+    assert find_divisor(phi).subset == (1, 2, 3)
+
+
+def test_low_rank_frames_try_only_the_greedy_pivots(monkeypatch):
+    # the traceless coordinates of these frames have fewer live rows than
+    # pivots the largest-norm choice would take, so that choice (a
+    # singular Gram matrix) is skipped; full-rank frames still take it
+    calls = []
+    forcing = divisibility._forcing
+    monkeypatch.setattr(divisibility, "_forcing",
+                        lambda gram, norms, pivots, *rest: calls.append(
+                            pivots) or forcing(gram, norms, pivots, *rest))
+    for phi, rank in ((dft_row_frame(2, 13), 2),
+                      (prime_parseval_extension(3, 12), 2),
+                      (stf(5, 13), 8), (random_tight_frame(3, 12, 0), 5)):
+        calls.clear()
+        found = divisibility._pivot_reduction(
+            _coordinates(phi.entries), range(phi.m), phi.n,
+            check_tight(phi).bound, 1e-9, 1 << 60)
+        assert found is not None and len(found[0]) == rank
+        assert calls == [found[0]]
 
 
 def count_redecisions(monkeypatch, call):
@@ -692,10 +771,12 @@ def test_survivors_are_redecided_only_inside_the_mu_window(monkeypatch):
     pivots, forced, _ = divisibility._pivot_reduction(
         coords, range(phi.m), 2, bound, 1e-9, 1 << 60)
     assert pivots[0] == 3 and np.allclose(forced[0, [1, 2]], -0.5)
-    proved, redecided = count_redecisions(
-        monkeypatch, lambda: divisibility._proved_prime(
+    found, redecided = count_redecisions(
+        monkeypatch, lambda: divisibility._reduction_search(
             entries, coords, range(phi.m), sizes, bound, 1e-9))
-    assert not proved and redecided == 1
+    part = [0] + list(range(4, 12))
+    assert found == [(part, _bound_and_residual(entries[:, part])[0])]
+    assert redecided == 1
     cert = find_divisor(phi)
     assert cert.subset == (1,) + tuple(range(5, 13))
     # a prime frame: 2^10 assignments and nothing to re-decide
@@ -731,3 +812,104 @@ def test_primality_is_invariant_under_equivalence(pair):
     phi, psi = pair
     assert is_prime_bruteforce(psi) == is_prime_bruteforce(phi)
     assert (find_divisor(psi) is None) == (find_divisor(phi) is None)
+
+
+# --- the reduction's certificates against the kernel ------------------------
+
+@st.composite
+def divisible_frames(draw):
+    """A frame with many or few divisors and at most 16 columns: a planted
+    split into two or three seeded tight frames, copies of one orthonormal
+    basis, or a seeded tight frame with every column repeated."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["two", "three", "basis", "repeated"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "basis":
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        copies = draw(st.integers(2, 16 // n))
+        return shuffled(np.hstack([basis] * copies), rng)
+    if kind == "repeated":
+        frame = random_tight_frame(n, draw(st.integers(n + 1, 8)), seed)
+        return shuffled(np.hstack([frame.entries] * 2), rng)
+    parts = 2 if kind == "two" else 3
+    sizes = [n] * parts
+    for _ in range(draw(st.integers(0, 16 - n * parts))):
+        sizes[draw(st.integers(0, parts - 1))] += 1
+    return shuffled(np.hstack([random_tight_frame(n, a, seed + i).entries
+                               for i, a in enumerate(sizes)]), rng)
+
+
+@given(divisible_frames())
+def test_certificates_match_the_kernel(phi):
+    for tol in EQUIVALENCE_TOLS:
+        got = (outcome(find_divisor, phi, tol=tol),
+               outcome(prime_factorization, phi, tol))
+        with pytest.MonkeyPatch.context() as patch:
+            kernel_only(patch)
+            assert got == (outcome(find_divisor, phi, tol=tol),
+                           outcome(prime_factorization, phi, tol))
+
+
+def best_time(call, repeats=3):
+    """The fastest of a few calls, in seconds, and the call's value."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        value = call()
+        times.append(time.perf_counter() - start)
+    return min(times), value
+
+
+def test_divisor_rich_frames_stay_fast(monkeypatch):
+    # many divisors: the reduction meets one in its first chunk and hands
+    # over to the kernel, which reaches its first certificate within a
+    # few rows
+    frames = [FrameMatrix.from_array(np.hstack([np.eye(3)] * 6)),
+              FrameMatrix.from_array(np.hstack([np.eye(2)] * 8)),
+              htf(HtfParams(2, 16)), stf(4, 17)]
+    got = []
+    for phi in frames:
+        for call in (find_divisor, prime_factorization):
+            seconds, value = best_time(lambda: call(phi))
+            assert seconds < 0.02, (call.__name__, phi.n, phi.m, seconds)
+            got.append(value)
+    kernel_only(monkeypatch)
+    assert got == [call(phi) for phi in frames
+                   for call in (find_divisor, prime_factorization)]
+
+
+def test_size_class_tables_match_unranking(monkeypatch):
+    limit = divisibility._TABLE_WIDTH
+    for width in range(limit + 1):
+        ranks = divisibility._binomials(width)
+        for k in range(width + 1):
+            members, picks = divisibility._size_class_table(width, k)
+            total = comb(width, k)
+            expected = divisibility._unrank(
+                np.arange(total, dtype=np.int64), k, ranks)
+            assert np.array_equal(members, expected)
+            assert picks.shape == (total, width)
+            assert np.array_equal(
+                picks, [[float(c in row) for c in range(width)]
+                        for row in expected.T.tolist()])
+            for table in (members, picks):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[...] = 0
+    # slices of the tables and unranked chunks are the same subsets
+    sliced = divisibility._size_class(limit, 5, 100, 300)
+    unranked = divisibility._size_class(limit + 1, 5, 100, 300)
+    assert np.array_equal(sliced[0], unranked[0])
+    assert np.array_equal(sliced[1], unranked[1][:, :limit])
+    # tight_subsets gives the same lists with every pool unranked
+    frames = [htf(HtfParams(2, 12)), htf(HtfParams(3, 12)), stf(3, 10),
+              FrameMatrix.from_array(np.hstack([np.eye(2)] * 6)),
+              htf(HtfParams(2, 14)), planted_split(2, 6, 7, 1),
+              FrameMatrix.from_array(np.hstack([np.eye(2)] * 7))]
+    assert {phi.m for phi in frames} == {10, 12, 13, 14}
+    cases = [(phi, size) for phi in frames for size in range(1, phi.m + 1)]
+    with_tables = [tight_subsets(phi, size) for phi, size in cases]
+    assert sum(map(len, with_tables)) > 1000
+    monkeypatch.setattr(divisibility, "_TABLE_WIDTH", -1)
+    assert with_tables == [tight_subsets(phi, size) for phi, size in cases]
