@@ -50,10 +50,8 @@ def _write(text: str, path):
 
 
 def _emit_frame(phi, args):
-    if args.format == "csv":
-        _write(io.frame_to_csv(phi), args.output)
-    else:
-        _write(io.dumps(io.frame_to_json_obj(phi)) + "\n", args.output)
+    writer = io.frame_to_csv if args.format == "csv" else io.frame_to_json
+    _write(writer(phi), args.output)
 
 
 def _emit_obj(obj, args):
@@ -141,10 +139,8 @@ def cmd_transform(args):
         out = analyze_fast(tplan, vec)
     else:
         out = synthesize_fast(tplan, vec)
-    if args.format == "csv":
-        _write(io.vector_to_csv(out), args.output)
-    else:
-        _write(io.dumps(io.vector_to_json_obj(out)) + "\n", args.output)
+    writer = io.vector_to_csv if args.format == "csv" else io.vector_to_json
+    _write(writer(out), args.output)
     return 0
 
 

@@ -8,6 +8,14 @@ every IEEE double bit-exactly on read-back.  The JSON frame format is
 with one inner list of [re, im] pairs per column.  The CSV format has
 one matrix row per line of comma-separated "re+imj" tokens.  Vectors
 use {"n": len, "entries": [[re, im], ...]} and a single CSV line.
+
+The writers format each array in one ``%`` pass over a template built
+from its shape, formatting each distinct float once; the text is the
+same as writing each number with ``format(x, ".17g")``.  A -0.0 is
+written "-0", and the JSON readers keep its sign.  The readers raise
+``ValueError``, naming the field where there is one, on malformed
+text, non-finite entries, integers beyond the float range and JSON
+nested too deep to parse.
 """
 
 from __future__ import annotations
@@ -15,20 +23,51 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 
 import numpy as np
 
 from .frames import FrameMatrix
 
 
-def _fmt17(x: float) -> str:
-    if not math.isfinite(x):
+def _texts(values, spec: str) -> np.ndarray:
+    """``spec % x`` for each float x of ``values`` in C order, as a flat
+    object array.  Each distinct bit pattern is formatted once: the
+    17-digit format calls are most of a write's cost, and a harmonic
+    frame repeats its entries (740 distinct floats among the 16,384 of
+    ``htf(16, 512)``)."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if not np.isfinite(values).all():
         raise ValueError("cannot serialize a non-finite number")
-    return format(x, ".17g")
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([spec % x for x in bits.view(np.float64).tolist()],
+                     dtype=object)
+    return texts[inverse.ravel()]
+
+
+def _json_array(arr: np.ndarray) -> str:
+    """The float array ``arr`` as nested JSON lists, in one format pass
+    over a template built from its shape."""
+    template = "%s"
+    for size in reversed(arr.shape):
+        template = "[" + ", ".join([template] * size) + "]"
+    return template % tuple(_texts(arr, "%.17g").tolist())
+
+
+def _csv_text(entries: np.ndarray) -> str:
+    """One line of comma-separated "re+imj" tokens per row of the 2-d
+    complex ``entries``."""
+    n, m = entries.shape
+    tokens = np.empty((n * m, 2), dtype=object)
+    tokens[:, 0] = _texts(entries.real, "%.17g")
+    tokens[:, 1] = _texts(entries.imag, "%+.17g")
+    row = ",".join(["%s%sj"] * m)
+    return ("\n".join([row] * n) + "\n") % tuple(tokens.ravel().tolist())
 
 
 def dumps(obj) -> str:
-    """JSON text with floats at 17 significant digits."""
+    """JSON text with floats at 17 significant digits; a real float
+    ``ndarray`` is written as nested lists."""
     out = []
     _emit(obj, out)
     return "".join(out)
@@ -40,7 +79,11 @@ def _emit(o, out):
     elif isinstance(o, (int, np.integer)):
         out.append(str(int(o)))
     elif isinstance(o, (float, np.floating)):
-        out.append(_fmt17(float(o)))
+        if not math.isfinite(o):
+            raise ValueError("cannot serialize a non-finite number")
+        out.append("%.17g" % o)
+    elif isinstance(o, np.ndarray) and o.dtype.kind == "f":
+        out.append(_json_array(o))
     elif isinstance(o, str):
         out.append(json.dumps(o))
     elif isinstance(o, (list, tuple)):
@@ -65,22 +108,39 @@ def _emit(o, out):
         raise TypeError("cannot serialize %r" % type(o))
 
 
-def _pairs(vec) -> list:
-    return [[float(z.real), float(z.imag)] for z in vec]
+# json reads "-0", the text of a -0.0, as the integer 0; this decoder
+# keeps the sign.  Its hook costs a call per integer, so it only reads
+# text where "-0" is not the start of a fraction or an exponent.
+_SIGNED_ZERO_JSON = json.JSONDecoder(
+    parse_int=lambda token: -0.0 if token == "-0" else int(token))
+_BARE_MINUS_ZERO = re.compile(r"-0(?![.eE])")
 
 
-def _token(z: complex) -> str:
-    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
-    return "%s%s%sj" % (_fmt17(z.real), sign, _fmt17(abs(z.imag)))
+def _loads(text: str):
+    signed = _BARE_MINUS_ZERO.search(text)
+    try:
+        return (_SIGNED_ZERO_JSON.decode if signed else json.loads)(text)
+    except RecursionError:
+        raise ValueError("JSON nesting is too deep") from None
+
+
+def _frame_floats(phi: FrameMatrix) -> np.ndarray:
+    """The columns as an (m, n, 2) array of [re, im] pairs."""
+    return np.ascontiguousarray(phi.entries.T).view(np.float64).reshape(
+        phi.m, phi.n, 2)
+
+
+def _frame_obj(phi: FrameMatrix, columns) -> dict:
+    return {"n": phi.n, "m": phi.m, "field": phi.field, "columns": columns}
 
 
 def frame_to_json_obj(phi: FrameMatrix) -> dict:
-    return {
-        "n": phi.n,
-        "m": phi.m,
-        "field": phi.field,
-        "columns": [_pairs(phi.entries[:, k]) for k in range(phi.m)],
-    }
+    return _frame_obj(phi, _frame_floats(phi).tolist())
+
+
+def frame_to_json(phi: FrameMatrix) -> str:
+    """The JSON text of ``frame_to_json_obj``, newline-terminated."""
+    return dumps(_frame_obj(phi, _frame_floats(phi))) + "\n"
 
 
 def _required(obj, key: str, kind: type, what: str):
@@ -96,6 +156,31 @@ def _required(obj, key: str, kind: type, what: str):
     return val
 
 
+def _pair_array(rows, shape: tuple, key: str) -> np.ndarray:
+    """Nested JSON lists ``rows`` as a finite float array of ``shape``,
+    whose last axis holds [re, im]; raises ValueError naming ``key``."""
+    bad = ValueError("field %r must hold [re, im] number pairs" % key)
+    try:
+        arr = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("field %r holds a number beyond the float "
+                         "range" % key) from None
+    except (TypeError, ValueError):
+        raise bad from None
+    if arr.shape != shape:
+        raise bad
+    if not np.isfinite(arr).all():
+        # np.array reads a JSON null as NaN, where float() refuses it
+        for index in np.argwhere(np.isnan(arr)):
+            item = rows
+            for i in index:
+                item = item[i]
+            if item is None:
+                raise bad
+        raise ValueError("field %r must hold finite numbers" % key)
+    return arr
+
+
 def frame_from_json_obj(obj) -> FrameMatrix:
     n = _required(obj, "n", int, "an integer")
     m = _required(obj, "m", int, "an integer")
@@ -106,23 +191,14 @@ def frame_from_json_obj(obj) -> FrameMatrix:
             raise ValueError("column data does not match the declared n, m")
     except TypeError:
         raise ValueError("field 'columns' must be a list of lists") from None
-    entries = np.empty((n, m), dtype=np.complex128)
-    try:
-        for k, col in enumerate(columns):
-            for t, pair in enumerate(col):
-                re, im = pair
-                entries[t, k] = complex(float(re), float(im))
-    except (TypeError, ValueError):
-        raise ValueError("field 'columns' must hold [re, im] number "
-                         "pairs") from None
-    return FrameMatrix(entries, field)
+    if n < 1 or m < 1:
+        raise ValueError("fields 'n' and 'm' must be at least 1")
+    pairs = _pair_array(columns, (m, n, 2), "columns")
+    return FrameMatrix(pairs.view(np.complex128)[..., 0].T, field)
 
 
 def frame_to_csv(phi: FrameMatrix) -> str:
-    lines = []
-    for t in range(phi.n):
-        lines.append(",".join(_token(z) for z in phi.entries[t]))
-    return "\n".join(lines) + "\n"
+    return _csv_text(phi.entries)
 
 
 def frame_from_csv(text: str) -> FrameMatrix:
@@ -137,9 +213,23 @@ def frame_from_csv(text: str) -> FrameMatrix:
     return FrameMatrix.from_array(np.array(rows, dtype=np.complex128))
 
 
+def _vector_floats(vec) -> np.ndarray:
+    """The entries as an (n, 2) array of [re, im] pairs."""
+    vec = np.ascontiguousarray(vec, dtype=np.complex128)
+    if vec.ndim != 1:
+        raise ValueError("a vector must be 1-d")
+    return vec.view(np.float64).reshape(-1, 2)
+
+
 def vector_to_json_obj(vec) -> dict:
-    vec = np.asarray(vec, dtype=np.complex128)
-    return {"n": int(vec.shape[0]), "entries": _pairs(vec)}
+    pairs = _vector_floats(vec)
+    return {"n": len(pairs), "entries": pairs.tolist()}
+
+
+def vector_to_json(vec) -> str:
+    """The JSON text of ``vector_to_json_obj``, newline-terminated."""
+    pairs = _vector_floats(vec)
+    return dumps({"n": len(pairs), "entries": pairs}) + "\n"
 
 
 def vector_from_json_obj(obj) -> np.ndarray:
@@ -147,25 +237,24 @@ def vector_from_json_obj(obj) -> np.ndarray:
     entries = _required(obj, "entries", list, "a list of [re, im] pairs")
     if n != len(entries):
         raise ValueError("entry count does not match the declared length")
-    try:
-        return np.array([complex(float(re), float(im)) for re, im in entries],
-                        dtype=np.complex128)
-    except (TypeError, ValueError):
-        raise ValueError("field 'entries' must hold [re, im] number "
-                         "pairs") from None
+    if not entries:
+        return np.empty(0, dtype=np.complex128)
+    return _pair_array(entries, (n, 2), "entries").view(np.complex128)[:, 0]
 
 
 def vector_to_csv(vec) -> str:
-    vec = np.asarray(vec, dtype=np.complex128)
-    return ",".join(_token(z) for z in vec) + "\n"
+    return _csv_text(_vector_floats(vec).view(np.complex128).reshape(1, -1))
 
 
 def vector_from_csv(text: str) -> np.ndarray:
     line = text.strip()
     if not line:
         raise ValueError("empty vector text")
-    return np.array([complex(tok.strip()) for tok in line.split(",")],
-                    dtype=np.complex128)
+    vec = np.array([complex(tok.strip()) for tok in line.split(",")],
+                   dtype=np.complex128)
+    if not np.isfinite(vec).all():
+        raise ValueError("vector entries must be finite (no NaN or inf)")
+    return vec
 
 
 def _format_of(path: str, fmt: str | None) -> str:
@@ -183,7 +272,7 @@ def _format_of(path: str, fmt: str | None) -> str:
 
 def write_frame(phi: FrameMatrix, path: str, fmt: str | None = None):
     kind = _format_of(path, fmt)
-    text = dumps(frame_to_json_obj(phi)) + "\n" if kind == "json" else frame_to_csv(phi)
+    text = frame_to_json(phi) if kind == "json" else frame_to_csv(phi)
     with open(path, "w") as handle:
         handle.write(text)
 
@@ -193,13 +282,13 @@ def read_frame(path: str, fmt: str | None = None) -> FrameMatrix:
     with open(path) as handle:
         text = handle.read()
     if kind == "json":
-        return frame_from_json_obj(json.loads(text))
+        return frame_from_json_obj(_loads(text))
     return frame_from_csv(text)
 
 
 def write_vector(vec, path: str, fmt: str | None = None):
     kind = _format_of(path, fmt)
-    text = dumps(vector_to_json_obj(vec)) + "\n" if kind == "json" else vector_to_csv(vec)
+    text = vector_to_json(vec) if kind == "json" else vector_to_csv(vec)
     with open(path, "w") as handle:
         handle.write(text)
 
@@ -209,5 +298,5 @@ def read_vector(path: str, fmt: str | None = None) -> np.ndarray:
     with open(path) as handle:
         text = handle.read()
     if kind == "json":
-        return vector_from_json_obj(json.loads(text))
+        return vector_from_json_obj(_loads(text))
     return vector_from_csv(text)

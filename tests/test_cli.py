@@ -391,3 +391,72 @@ def test_console_script_installed(tmp_path):
         proc = run_subprocess([exe, "htf", "--n", "3", "--m", "2"])
         assert proc.returncode == 1 and proc.stderr.startswith("error:")
         assert run_subprocess([exe, "bogus"]).returncode == 2
+
+
+def fuzzed_copies(text: bytes, rng) -> list:
+    """Every 7th truncation of ``text`` and 150 copies with one byte
+    replaced by a random other byte."""
+    copies = [text[:k] for k in range(0, len(text), 7)]
+    for _ in range(150):
+        k = int(rng.integers(len(text)))
+        flipped = text[k] ^ int(rng.integers(1, 256))
+        copies.append(text[:k] + bytes([flipped]) + text[k + 1:])
+    return copies
+
+
+def assert_error_or_success(capsys, argv):
+    code, _, err = run_cli(capsys, argv)
+    assert code in (0, 1), argv
+    if code == 1:
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+ANALYZE = ["analyze", "--input"]
+TRANSFORM = ["transform", "--n", "2", "--m", "4", "--p", "2", "--analyze",
+             "--input"]
+
+
+def test_cli_readers_survive_fuzzed_files(tmp_path, capsys):
+    rng = np.random.default_rng(20260)
+    seeds = []
+    for name, write, obj, argv in (
+            ("f.json", write_frame, stf(3, 7), ANALYZE),
+            ("f.csv", write_frame, htf(HtfParams(2, 5)), ANALYZE),
+            ("v.json", write_vector, np.array([0.5, -1.25j]), TRANSFORM),
+            ("v.csv", write_vector, np.array([1 / 3, 2.5 + 1j]), TRANSFORM)):
+        path = os.path.join(tmp_path, name)
+        write(obj, path)
+        with open(path, "rb") as handle:
+            seeds.append((path, handle.read(), argv))
+    for path, text, argv in seeds:
+        for fuzzed in fuzzed_copies(text, rng):
+            with open(path, "wb") as handle:
+                handle.write(fuzzed)
+            assert_error_or_success(capsys, argv + [path])
+
+
+HOSTILE_FILES = {
+    "big.json": '{"n": 1, "m": 1, "field": "real", "columns": [[[1%s, 0]]]}'
+                % ("0" * 400),
+    "bigv.json": '{"n": 2, "entries": [[1, 0], [0, -1%s]]}' % ("0" * 400),
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+    "nan.json": '{"n": 2, "entries": [[NaN, 0], [1, 0]]}',
+    "nan.csv": "nan+0j,1+0j\n",
+    "zero.json": '{"n": 0, "m": 1, "field": "real", "columns": [[]]}',
+    "zerov.json": '{"n": 0, "entries": []}',
+    "bytes.json": b'{"n": 2, "entries": [[1, 0], [\xff\xfe, 0]]}',
+    "bytes.csv": b"1+0j,\xc3\x28+0j\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FILES))
+def test_cli_readers_reject_hostile_files(tmp_path, capsys, name):
+    text = HOSTILE_FILES[name]
+    path = os.path.join(tmp_path, name)
+    with open(path, "wb") as handle:
+        handle.write(text if isinstance(text, bytes) else text.encode())
+    for argv in (ANALYZE, TRANSFORM):
+        code, out, err = run_cli(capsys, argv + [path])
+        assert code == 1 and out == "" and err.startswith("error:")
+    if name.startswith("nan"):
+        assert "finite" in err and "serialize" not in err

@@ -4,16 +4,100 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR
 from primeframes import (FrameMatrix, HtfParams, check_equiangular,
                          check_tight, htf, is_prime_bruteforce,
                          random_tight_frame, stf, welch_bound)
 from primeframes.io import (dumps, frame_from_csv, frame_from_json_obj,
-                            frame_to_csv, frame_to_json_obj, read_frame,
-                            read_vector, vector_from_csv, vector_from_json_obj,
-                            vector_to_csv, vector_to_json_obj, write_frame,
+                            frame_to_csv, frame_to_json, frame_to_json_obj,
+                            read_frame, read_vector, vector_from_csv,
+                            vector_from_json_obj, vector_to_csv,
+                            vector_to_json, vector_to_json_obj, write_frame,
                             write_vector)
+
+
+# The per-number writer that the one-pass writers replaced, kept as the
+# oracle for their text: one format(x, ".17g") per float, with the sign
+# of each imaginary part taken by copysign.
+
+def oracle_fmt17(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError("cannot serialize a non-finite number")
+    return format(x, ".17g")
+
+
+def oracle_dumps(o) -> str:
+    if isinstance(o, bool) or o is None:
+        return "null" if o is None else ("true" if o else "false")
+    if isinstance(o, int):
+        return str(o)
+    if isinstance(o, float):
+        return oracle_fmt17(o)
+    if isinstance(o, str):
+        return json.dumps(o)
+    if isinstance(o, list):
+        return "[" + ", ".join(oracle_dumps(item) for item in o) + "]"
+    return "{" + ", ".join(json.dumps(k) + ": " + oracle_dumps(v)
+                           for k, v in o.items()) + "}"
+
+
+def oracle_pairs(vec) -> list:
+    return [[float(z.real), float(z.imag)] for z in vec]
+
+
+def oracle_token(z: complex) -> str:
+    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
+    return "%s%s%sj" % (oracle_fmt17(z.real), sign, oracle_fmt17(abs(z.imag)))
+
+
+def oracle_frame_json(phi) -> str:
+    obj = {"n": phi.n, "m": phi.m, "field": phi.field,
+           "columns": [oracle_pairs(phi.entries[:, k]) for k in range(phi.m)]}
+    return oracle_dumps(obj) + "\n"
+
+
+def oracle_frame_csv(phi) -> str:
+    return "\n".join(",".join(oracle_token(z) for z in row)
+                     for row in phi.entries) + "\n"
+
+
+def oracle_vector_json(vec) -> str:
+    return oracle_dumps({"n": len(vec), "entries": oracle_pairs(vec)}) + "\n"
+
+
+def oracle_vector_csv(vec) -> str:
+    return ",".join(oracle_token(z) for z in vec) + "\n"
+
+
+# every finite double, with the edges drawn often: signed zeros, the
+# smallest subnormal and normal, and the largest magnitude
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308)
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+finite_complex = st.builds(complex, finite_floats, finite_floats)
+
+
+@st.composite
+def frames(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        entries = draw(st.lists(finite_complex, min_size=n * m,
+                                max_size=n * m))
+    else:
+        # real frames: imaginary parts are zeros of either sign
+        entries = [complex(x, draw(st.sampled_from((0.0, -0.0))))
+                   for x in draw(st.lists(finite_floats, min_size=n * m,
+                                          max_size=n * m))]
+    return FrameMatrix.from_array(np.array(entries).reshape(n, m))
+
+
+vectors = st.lists(finite_complex, max_size=8).map(
+    lambda v: np.array(v, dtype=np.complex128))
 
 
 def test_dumps_formats_floats_at_17_digits():
@@ -192,3 +276,103 @@ def test_bundled_etf_frame():
     assert abs(angles.common_angle - welch_bound(3, 6)) < 1e-12
     assert abs(angles.common_angle - 1 / math.sqrt(5)) < 1e-12
     assert is_prime_bruteforce(phi)
+
+
+@given(phi=frames())
+def test_frame_text_equals_the_per_number_writer(tmp_path_factory, phi):
+    assert frame_to_json(phi) == oracle_frame_json(phi)
+    assert dumps(frame_to_json_obj(phi)) + "\n" == oracle_frame_json(phi)
+    assert frame_to_csv(phi) == oracle_frame_csv(phi)
+    folder = tmp_path_factory.mktemp("frames")
+    for name in ("frame.json", "frame.csv"):
+        path = os.path.join(folder, name)
+        write_frame(phi, path)
+        back = read_frame(path)
+        assert back.field == phi.field
+        assert back.entries.tobytes() == phi.entries.tobytes()
+
+
+@given(vec=vectors)
+def test_vector_text_equals_the_per_number_writer(tmp_path_factory, vec):
+    assert vector_to_json(vec) == oracle_vector_json(vec)
+    assert dumps(vector_to_json_obj(vec)) + "\n" == oracle_vector_json(vec)
+    assert vector_to_csv(vec) == oracle_vector_csv(vec)
+    folder = tmp_path_factory.mktemp("vectors")
+    # an empty vector has no CSV text to read back
+    for name in ("v.json", "v.csv") if len(vec) else ("v.json",):
+        path = os.path.join(folder, name)
+        write_vector(vec, path)
+        assert read_vector(path).tobytes() == vec.tobytes()
+
+
+def test_dumps_writes_float_arrays_as_nested_lists():
+    arr = np.array([[1 / 3, -0.0], [5e-324, 2.0]])
+    assert dumps({"a": arr}) == oracle_dumps({"a": arr.tolist()})
+    assert dumps(np.zeros((2, 0))) == "[[], []]"
+    assert dumps(np.array(0.5)) == "0.5"
+    assert dumps(np.array([0.1], dtype=np.float32)) == oracle_dumps(
+        [float(np.float32(0.1))])
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps(np.array([1.0, np.inf]))
+    with pytest.raises(TypeError):
+        dumps(np.array([1, 2]))
+
+
+def test_json_readers_keep_the_sign_of_zero(tmp_path):
+    # a -0.0 is written "-0", which json alone reads as the integer 0
+    zero = complex(-0.0, -0.0)
+    phi = FrameMatrix(np.array([[zero, 1.0]]))
+    path = os.path.join(tmp_path, "f.json")
+    write_frame(phi, path)
+    with open(path) as handle:
+        assert "[[[-0, -0]], [[1, 0]]]" in handle.read()
+    assert read_frame(path).entries.tobytes() == phi.entries.tobytes()
+    path = os.path.join(tmp_path, "v.json")
+    write_vector(np.array([zero, complex(-1.0, -0.0)]), path)
+    assert np.signbit(read_vector(path).view(np.float64)).all()
+
+
+def test_json_readers_reject_null_entries():
+    good = frame_to_json_obj(htf(HtfParams(2, 3)))
+    good["columns"][2][1] = [0.5, None]
+    with pytest.raises(ValueError, match=r"'columns' must hold \[re, im\]"):
+        frame_from_json_obj(good)
+    with pytest.raises(ValueError, match=r"'entries' must hold \[re, im\]"):
+        vector_from_json_obj({"n": 2, "entries": [[float("nan"), 0],
+                                                  [None, 1]]})
+
+
+def test_readers_reject_out_of_range_integers():
+    big = 10 ** 400
+    obj = {"n": 1, "m": 1, "field": "real", "columns": [[[big, 0]]]}
+    with pytest.raises(ValueError, match="'columns'.*float range"):
+        frame_from_json_obj(obj)
+    with pytest.raises(ValueError, match="'entries'.*float range"):
+        vector_from_json_obj({"n": 1, "entries": [[0, -big]]})
+
+
+def test_readers_reject_over_deep_json(tmp_path):
+    for name, read in (("f.json", read_frame), ("v.json", read_vector)):
+        path = os.path.join(tmp_path, name)
+        with open(path, "w") as handle:
+            handle.write("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match="nesting is too deep"):
+            read(path)
+
+
+def test_vector_readers_reject_non_finite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        vector_from_json_obj({"n": 2, "entries": [[1, 0], [float("nan"), 0]]})
+    with pytest.raises(ValueError, match="finite"):
+        vector_from_json_obj({"n": 1, "entries": [[0, float("-inf")]]})
+    with pytest.raises(ValueError, match="finite"):
+        vector_from_csv("1+0j,nan+0j\n")
+    with pytest.raises(ValueError, match="finite"):
+        vector_from_csv("1+infj\n")
+
+
+def test_frame_json_needs_positive_sizes():
+    for obj in ({"n": 0, "m": 1, "field": "real", "columns": [[]]},
+                {"n": 1, "m": 0, "field": "real", "columns": []}):
+        with pytest.raises(ValueError, match="at least 1"):
+            frame_from_json_obj(obj)
