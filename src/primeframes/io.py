@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 
 import numpy as np
 
@@ -109,17 +108,14 @@ def _emit(o, out):
 
 
 # json reads "-0", the text of a -0.0, as the integer 0; this decoder
-# keeps the sign.  Its hook costs a call per integer, so it only reads
-# text where "-0" is not the start of a fraction or an exponent.
+# keeps the sign.
 _SIGNED_ZERO_JSON = json.JSONDecoder(
     parse_int=lambda token: -0.0 if token == "-0" else int(token))
-_BARE_MINUS_ZERO = re.compile(r"-0(?![.eE])")
 
 
 def _loads(text: str):
-    signed = _BARE_MINUS_ZERO.search(text)
     try:
-        return (_SIGNED_ZERO_JSON.decode if signed else json.loads)(text)
+        return _SIGNED_ZERO_JSON.decode(text)
     except RecursionError:
         raise ValueError("JSON nesting is too deep") from None
 
@@ -215,10 +211,10 @@ def frame_from_csv(text: str) -> FrameMatrix:
 
 def _vector_floats(vec) -> np.ndarray:
     """The entries as an (n, 2) array of [re, im] pairs."""
-    vec = np.ascontiguousarray(vec, dtype=np.complex128)
+    vec = np.asarray(vec, dtype=np.complex128)
     if vec.ndim != 1:
         raise ValueError("a vector must be 1-d")
-    return vec.view(np.float64).reshape(-1, 2)
+    return np.ascontiguousarray(vec).view(np.float64).reshape(-1, 2)
 
 
 def vector_to_json_obj(vec) -> dict:

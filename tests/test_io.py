@@ -234,6 +234,14 @@ def test_vector_json_validation():
         vector_from_json_obj(obj)
 
 
+@pytest.mark.parametrize("bad", [2.0, 1 + 1j, np.float64(3.0),
+                                 np.array(4.0), np.ones((2, 2))])
+def test_vector_writers_refuse_non_vectors(bad):
+    for writer in (vector_to_json, vector_to_json_obj, vector_to_csv):
+        with pytest.raises(ValueError, match="1-d"):
+            writer(bad)
+
+
 def test_file_io_infers_format_from_extension(tmp_path):
     phi = stf(2, 5)
     jpath = os.path.join(tmp_path, "frame.json")
