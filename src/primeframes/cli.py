@@ -23,8 +23,7 @@ from .divisibility import (SEARCH_CAP, is_prime_bruteforce,
                            prime_factor_size_multisets, prime_factorization)
 from .errors import FrameError, NotTightError, SearchCapError
 from .frames import (DEFAULT_TOL, _check_tol, check_equiangular, check_tight,
-                     coherence, prime_parseval_extension, random_tight_frame,
-                     welch_bound)
+                     prime_parseval_extension, random_tight_frame, welch_bound)
 from .harmonic import HtfParams, divisor_sets, htf, htf_is_prime
 from .tetris import (stf, stf_is_divisible, stf_low_redundancy,
                      stf_low_redundancy_feasible)
@@ -101,7 +100,7 @@ def cmd_analyze(args):
     }
     if phi.m >= 2:
         angles = check_equiangular(phi, tol)
-        payload["coherence"] = coherence(phi)
+        payload["coherence"] = angles.max_abs_inner
         payload["is_unit_norm"] = angles.is_unit_norm
         payload["is_equiangular"] = angles.is_equiangular
         payload["common_angle"] = angles.common_angle
@@ -109,9 +108,7 @@ def cmd_analyze(args):
         payload["welch_bound"] = (
             welch_bound(phi.n, phi.m) if phi.m >= phi.n else None)
     if args.factor:
-        fact = prime_factorization(phi, tol)
-        payload["factors"] = [list(f) for f in fact.factors]
-        payload["bounds"] = list(fact.bounds)
+        payload.update(prime_factorization(phi, tol).to_json_obj())
     _emit_obj(payload, args)
     return 0
 

@@ -57,18 +57,19 @@ C_p^+ C_f and the sums.  The path enumerates the 2^(m-r-1) assignments
 x_f with column 1 pinned to 1 (column 1 is never a pivot), screens them
 on the first pivot, checks the survivors on every pivot at once, and
 takes the rounded entries as x_p.  Every subset the exact rule accepts is
-such a survivor, so the path sees them all: it orders the survivors of
-each chunk by (size, bitmask), re-decides them by the exact rule in that
-order, and keeps the least accepted one.  If none is accepted the frame
-is prime; otherwise the least accepted subset is exactly the kernel's
-first certificate.  (The assignment with every free column in is the
-whole frame, whose pivots the bound forces to 1, so it is skipped.)  The
-pivots are the r columns of largest norm when their Gram matrix is well
-conditioned, else those of a pivoted Cholesky factorization; r is at
-most the rank of C, which is n(n+1)/2 - 1 for real and n^2 - 1 for
-complex frames.  Coordinates that stay at rounding level on every column
-lower that bound, and when they do, the largest-norm Gram matrix would
-be singular, so only the pivoted Cholesky choice is tried.
+such a survivor, so the path sees them all: it sorts the survivors of
+each chunk once by (size, bitmask), re-decides them by the exact rule in
+that order, and keeps the least accepted one.  If none is accepted the
+frame is prime; otherwise the least accepted subset is exactly the
+kernel's first certificate.  (The assignment with every free column in
+is the whole frame, whose pivots the bound forces to 1, so it is
+skipped.)  The pivots are the r columns of largest norm when their Gram
+matrix is well conditioned, else those of a pivoted Cholesky
+factorization; r is at most the rank of C, which is n(n+1)/2 - 1 for
+real and n^2 - 1 for complex frames.  Coordinates that stay at rounding
+level on every column lower that bound, and when they do, the
+largest-norm Gram matrix would be singular, so only the pivoted Cholesky
+choice is tried.
 
 A search over all sizes tries the reduction first when mu < 1/4 and its
 2^(m-r-1) rows plus _REDUCTION_SETUP_ROWS, its set-up cost in kernel rows,
@@ -278,24 +279,31 @@ def _tight_parts(entries, coords, cols, sizes, pinned, bound, tol):
             passed = (t2 <= slack * (t2 + n * a * a)) & (low < a) & (a < high)
             for row in np.flatnonzero(passed):
                 idx = lead + pool[members[:, row]].tolist()
-                sub_bound, residual = _bound_and_residual(entries[:, idx])
-                if residual <= tol and tol < sub_bound < bound - tol:
+                sub_bound = _accepted(entries, idx, bound, tol)
+                if sub_bound is not None:
                     yield idx, sub_bound
             start = stop
             chunk = min(2 * chunk, _MAX_CHUNK)
 
 
-def _tight_bound(entries: np.ndarray, tol: float) -> float:
+def _accepted(entries: np.ndarray, idx, bound: float, tol: float):
+    """The bound of the columns ``idx`` if the exact rule accepts them
+    (residual <= tol, tol < bound < ``bound`` - tol), else None."""
+    sub_bound, residual = _bound_and_residual(entries[:, idx])
+    if residual <= tol and tol < sub_bound < bound - tol:
+        return sub_bound
+    return None
+
+
+def _require_tight(entries: np.ndarray, tol: float) -> float:
+    """The bound of ``entries``; raise unless tol is valid and it is tight."""
+    _check_tol(tol)
     bound, residual = _bound_and_residual(entries)
     if not (residual <= tol and bound > tol):
         raise NotTightError(
             "input is not a tight frame (residual %.3e, tol %.1e)"
             % (residual, tol))
     return bound
-
-
-def _require_tight(phi: FrameMatrix, tol: float) -> float:
-    return _tight_bound(phi.entries, _check_tol(tol))
 
 
 def _check_cap(m: int, force: bool):
@@ -414,17 +422,13 @@ def _pivot_reduction(coords, cols, n, bound, tol, work):
     floor = _PIVOT_FLOOR * sum(norms)
     live = [e > floor for e in np.einsum("ij,ij->j", c, c).tolist()]
     rank = sum(live[n:]) + max(sum(live[:n]) - 1, 0)
-    if rank < most:
-        most = rank
-        if (1 << (width - most)) + _REDUCTION_SETUP_ROWS >= work:
-            return None
-    else:
+    if rank >= most:
         largest = sorted(range(1, width + 1), key=norms.__getitem__,
                          reverse=True)[:most]
         found = _forcing(gram, norms, largest, margin, rounding)
         if found is not None:
             return (largest,) + found
-    pivots = _greedy_pivots(gram, most, (64.0 * margin) ** 2)
+    pivots = _greedy_pivots(gram, min(most, rank), (64.0 * margin) ** 2)
     if (1 << (width - len(pivots))) + _REDUCTION_SETUP_ROWS >= work:
         return None
     found = _forcing(gram, norms, pivots, margin, rounding)
@@ -442,10 +446,10 @@ def _reduction_search(entries, coords, cols, sizes, bound, tol):
     certificate.  Returns None when the reduction does not pay (see
     ``_pivot_reduction``), or when, after a chunk, its rows still to
     enumerate outnumber the kernel rows up to the best subset so far.
+    Each chunk's survivors are sorted once, by size and then from the
+    highest position down, which is ascending (size, bitmask).
     """
     width = len(cols) - 1
-    if 1 << width <= _REDUCTION_SETUP_ROWS:  # under 2^width kernel rows
-        return None
     work = sum(comb(width, s - 1) for s in sizes)
     reduction = _pivot_reduction(coords, cols, entries.shape[0], bound, tol,
                                  work)
@@ -461,7 +465,7 @@ def _reduction_search(entries, coords, cols, sizes, bound, tol):
     table = forced[0].take(free[:low]).dot(_bit_columns(low))
     table += forced[0, 0] + 0.5
     blocks = 1 << len(high)
-    best = None  # key, positions in cols, subset bound
+    best = None  # (size, positions descending), positions in cols, bound
     start, step = 0, 1
     while start < blocks:
         stop = min(start + step, blocks)
@@ -474,8 +478,8 @@ def _reduction_search(entries, coords, cols, sizes, bound, tol):
         dev -= 0.5
         np.abs(dev, out=dev)
         if stop == blocks:
-            # every free column in: the whole frame is tight, so the pivots
-            # are forced to 1 and the size m is never searched
+            # the whole frame (every free column in) is out of the size
+            # range; dropping it here spares every prime proof a survivor
             dev[-1] = 1.0
         flat = (dev <= mu).nonzero()[0]
         if len(flat):
@@ -484,29 +488,24 @@ def _reduction_search(entries, coords, cols, sizes, bound, tol):
             shifted = bits.dot(forced.take(free, axis=1).T)
             shifted += forced[:, 0] + 0.5
             whole = np.abs(np.abs(shifted) - 0.5).max(axis=1) <= mu
-            bits, taken = bits[whole], shifted[whole] < 0.0
-            size = bits.sum(axis=1) + taken.sum(axis=1) + 1
+            # one 0/1 row per survivor over positions 0 .. width
+            rows = np.ones((whole.sum(), width + 1), dtype=bool)
+            rows[:, free] = bits[whole]
+            rows[:, pivots] = shifted[whole] < 0.0
+            size = rows.sum(axis=1)
             fits = (size >= sizes.start) & (size < sizes.stop)
-            size = size[fits]
-            # bit p - 1 for position p, in Python ints past 63 positions
-            kind = np.int64 if width < 64 else object
-            weights = np.array([1 << (p - 1) for p in free + pivots], kind)
-            mask = (bits[fits].dot(weights[:len(free)])
-                    + taken[fits].dot(weights[len(free):]))
-            for _ in range(len(size)):  # least (size, mask) first
-                rows = (size == size.min()).nonzero()[0]
-                row = rows[mask[rows].argmin()]
-                key = int(size[row]), int(mask[row])
+            rows, size = rows[fits], size[fits]
+            # ascending (size, bitmask): size, then the highest position down
+            for row in np.lexsort((*rows.T, size)):
+                members = rows[row].nonzero()[0].tolist()
+                key = len(members), members[::-1]
                 if best is not None and key >= best[0]:
                     break
-                members = [0] + [p for p in range(1, width + 1)
-                                 if (key[1] >> (p - 1)) & 1]
-                sub_bound, residual = _bound_and_residual(
-                    entries[:, [cols[i] for i in members]])
-                if residual <= tol and tol < sub_bound < bound - tol:
+                sub_bound = _accepted(entries, [cols[i] for i in members],
+                                      bound, tol)
+                if sub_bound is not None:
                     best = key, members, sub_bound
                     break
-                size[row] = width + 2  # rejected: never the least again
         start = stop
         step = min(2 * step, max(1, _REDUCTION_CHUNK >> low))
         if best is not None and start < blocks:
@@ -552,7 +551,7 @@ def find_divisor(phi: FrameMatrix, size_filter: int | None = None,
     With ``size_filter`` the search is restricted to that size and its
     complement size.  Returns a DivisorCertificate or None.
     """
-    bound = _require_tight(phi, tol)
+    bound = _require_tight(phi.entries, tol)
     _check_cap(phi.m, force)
     n, m = phi.n, phi.m
     sizes = None
@@ -581,7 +580,7 @@ def is_prime_bruteforce(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     enumeration (see the module docstring).  Every path gives the verdict
     of checking every subset.
     """
-    bound = _require_tight(phi, tol)
+    bound = _require_tight(phi.entries, tol)
     if phi.m < 2 * phi.n:
         return True
     _check_cap(phi.m, force)
@@ -592,7 +591,7 @@ def is_prime_bruteforce(phi: FrameMatrix, tol: float = DEFAULT_TOL,
 def complement_certificate(phi: FrameMatrix, subset,
                            tol: float = DEFAULT_TOL) -> DivisorCertificate:
     """Certificate for a known divisor subset, re-verifying both halves."""
-    bound = _require_tight(phi, tol)
+    bound = _require_tight(phi.entries, tol)
     subset = tuple(sorted(int(i) for i in subset))
     if len(set(subset)) != len(subset):
         raise ValueError("subset has repeated indices")
@@ -601,8 +600,8 @@ def complement_certificate(phi: FrameMatrix, subset,
     if not 0 < len(subset) < phi.m:
         raise ValueError("subset must be proper and nonempty")
     idx0 = [i - 1 for i in subset]
-    sub_bound, residual = _bound_and_residual(phi.entries[:, idx0])
-    if residual > tol or not tol < sub_bound < bound - tol:
+    sub_bound = _accepted(phi.entries, idx0, bound, tol)
+    if sub_bound is None:
         raise NotTightError("subset is not a divisor of the frame")
     _check_complement(phi.entries, range(phi.m), idx0, tol)
     return DivisorCertificate(subset, len(subset), sub_bound, bound - sub_bound)
@@ -617,10 +616,11 @@ def prime_factorization(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     affect tightness; they are set aside and attached to the final
     factor.  The factor count never exceeds floor(m / n).
     """
-    _require_tight(phi, tol)
-    _check_cap(phi.m, force)
     n, entries = phi.n, phi.entries
     live = np.any(entries, axis=0)
+    cols = np.flatnonzero(live).tolist()
+    bound = _require_tight(entries[:, cols], tol)
+    _check_cap(phi.m, force)
     zero = tuple(int(i) + 1 for i in np.flatnonzero(~live))
     coords = _coordinates(entries)
     factors = []
@@ -628,7 +628,7 @@ def prime_factorization(phi: FrameMatrix, tol: float = DEFAULT_TOL,
 
     def split(cols, bound):
         """Factor the frame on ``cols``, whose bound is ``bound`` and which
-        was checked tight where it has at least 2n columns."""
+        was checked tight above or by the search that split it off."""
         found = None
         if len(cols) >= 2 * n:
             found = _first_divisor(entries, coords, cols, bound, tol)
@@ -640,11 +640,7 @@ def prime_factorization(phi: FrameMatrix, tol: float = DEFAULT_TOL,
         split(part, part_bound)
         split(_rest(cols, part), rest_bound)
 
-    cols = np.flatnonzero(live).tolist()
-    if len(cols) >= 2 * n:
-        split(cols, _tight_bound(entries[:, cols], tol))
-    else:
-        split(cols, _bound_and_residual(entries[:, cols])[0])
+    split(cols, bound)
     if zero:
         factors[-1] = tuple(sorted(factors[-1] + zero))
     return PrimeFactorization(tuple(factors), tuple(bounds))
@@ -658,7 +654,7 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     intended for small frames.  Zero columns are ignored.  Returns sorted
     tuples, e.g. [(2, 2, 2, 2, 2), (5, 5)].
     """
-    _require_tight(phi, tol)
+    _require_tight(phi.entries, tol)
     _check_cap(phi.m, force)
     n, entries = phi.n, phi.entries
     coords = _coordinates(entries)
@@ -708,7 +704,7 @@ def robustness_counterexample_check(phi: FrameMatrix, p: int,
     For n >= 2 no tight frame has every p-subset tight for p in
     [n, m - n]; this verifies that non-robustness witness exists.
     """
-    _require_tight(phi, tol)
+    _require_tight(phi.entries, tol)
     if phi.n < 2:
         raise ValueError("needs dimension n >= 2")
     if not phi.n <= p <= phi.m - phi.n:

@@ -243,6 +243,9 @@ def vector_to_csv(vec) -> str:
 
 
 def vector_from_csv(text: str) -> np.ndarray:
+    """One line of "re+imj" tokens; one empty line is the empty vector."""
+    if text == "\n":
+        return np.empty(0, dtype=np.complex128)
     line = text.strip()
     if not line:
         raise ValueError("empty vector text")

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import hexagon_frame, mercedes_frame, random_unitary
 from primeframes import (EquivalenceData, FrameMatrix, HtfParams,
-                         NotTightError, apply_equivalence,
+                         NotTightError, PackingError, apply_equivalence,
                          PrimeFactorization, SearchCapError, check_tight,
-                         complement_certificate, dft_row_frame, find_divisor,
-                         htf, is_prime_bruteforce, prime_factor_size_multisets,
+                         complement_certificate, dft_row_frame, divisor_sets,
+                         find_divisor, htf, htf_divisor_of_size, htf_is_prime,
+                         is_prime_bruteforce, prime_factor_size_multisets,
                          prime_factorization, prime_parseval_extension,
                          random_tight_frame, robustness_counterexample_check,
-                         stf, tight_subsets)
+                         stf, stf_is_divisible, tight_subsets)
 from primeframes import divisibility
 from primeframes.divisibility import _FIRST_CHUNK, _coordinates
 from primeframes.frames import _bound_and_residual
@@ -849,6 +850,24 @@ def test_certificates_match_the_kernel(phi):
             kernel_only(patch)
             assert got == (outcome(find_divisor, phi, tol=tol),
                            outcome(prime_factorization, phi, tol))
+
+
+# --- closed forms against the search ---------------------------------------
+
+@given(st.integers(2, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(n, 18))))
+def test_closed_forms_agree_with_the_search(shape):
+    n, m = shape
+    phi = htf(HtfParams(n, m))
+    assert htf_is_prime(n, m) == is_prime_bruteforce(phi)
+    if m >= 2 * n:
+        assert stf_is_divisible(n, m) == (not is_prime_bruteforce(stf(n, m)))
+    for size in divisor_sets(n, m).divisible_sizes:
+        try:
+            subset = htf_divisor_of_size(HtfParams(n, m), size)
+        except (PackingError, SearchCapError):
+            continue
+        assert complement_certificate(phi, subset).size == size
 
 
 def best_time(call, repeats=3):
