@@ -3,9 +3,9 @@
 Every subcommand is a thin adapter over one library call and writes a
 machine-readable payload (JSON by default, CSV for matrices on request)
 to stdout or --output.  Exit codes: 0 on success, 1 on a domain error
-(infeasible construction, non-tight input, bad parameter combination),
-2 on a usage error.  The FRAMES_TOL environment variable overrides the
-default tightness tolerance of 1e-9 wherever --tol is not given.
+(infeasible construction, non-tight input, bad parameters, a refused
+search, no memory), 2 on a usage error.  FRAMES_TOL, when set, overrides
+the default tightness tolerance of 1e-9 wherever --tol is not given.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import time
 import numpy as np
 
 from . import io
-from .divisibility import (SEARCH_CAP, is_prime_bruteforce,
-                           prime_factor_size_multisets, prime_factorization)
-from .errors import FrameError, NotTightError, SearchCapError
+from .divisibility import (is_prime_bruteforce, prime_factor_size_multisets,
+                           prime_factorization)
+from .errors import FrameError, NotTightError
 from .frames import (DEFAULT_TOL, _check_tol, check_equiangular, check_tight,
                      prime_parseval_extension, random_tight_frame, welch_bound)
 from .harmonic import HtfParams, divisor_sets, htf, htf_is_prime
@@ -175,15 +175,11 @@ _GRID_COLUMNS = ("n", "m", "htf_prime", "htf_prime_brute", "stf_divisible",
 def cmd_grid(args):
     if args.nmax < 2 or args.mmax < 2:
         raise ValueError("need nmax >= 2 and mmax >= 2")
-    if args.mmax > SEARCH_CAP and not args.force:
-        raise SearchCapError(
-            "mmax = %d exceeds the brute-force cap %d; pass --force to "
-            "run anyway" % (args.mmax, SEARCH_CAP))
     rows = []
     for n in range(2, args.nmax + 1):
         for m in range(n, args.mmax + 1):
             closed = htf_is_prime(n, m)
-            brute = is_prime_bruteforce(htf(HtfParams(n, m)), force=True)
+            brute = is_prime_bruteforce(htf(HtfParams(n, m)), force=args.force)
             if closed != brute:
                 raise FrameError(
                     "closed-form and brute-force primality disagree at "
@@ -192,7 +188,8 @@ def cmd_grid(args):
             row.update(n=n, m=m, htf_prime=closed, htf_prime_brute=brute)
             if m >= 2 * n:
                 divisible = stf_is_divisible(n, m)
-                divisible_brute = not is_prime_bruteforce(stf(n, m), force=True)
+                divisible_brute = not is_prime_bruteforce(stf(n, m),
+                                                          force=args.force)
                 if divisible != divisible_brute:
                     raise FrameError(
                         "tetris divisibility columns disagree at "
@@ -203,18 +200,9 @@ def cmd_grid(args):
                 row["stf_lowred_feasible"] = stf_low_redundancy_feasible(n, m)
             rows.append(row)
     if args.format == "csv":
-        lines = [",".join(_GRID_COLUMNS)]
-        for row in rows:
-            cells = []
-            for key in _GRID_COLUMNS:
-                val = row[key]
-                if val is None:
-                    cells.append("")
-                elif isinstance(val, bool):
-                    cells.append("true" if val else "false")
-                else:
-                    cells.append(str(val))
-            lines.append(",".join(cells))
+        lines = [",".join(_GRID_COLUMNS)] + [
+            ",".join("" if row[key] is None else str(row[key]).lower()
+                     for key in _GRID_COLUMNS) for row in rows]
         _write("\n".join(lines) + "\n", args.output)
     else:
         _emit_obj(rows, args)
@@ -311,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--nmax", type=int, required=True)
     sub.add_argument("--mmax", type=int, required=True)
     sub.add_argument("--force", action="store_true",
-                     help="allow grids beyond the brute-force cap")
+                     help="allow searches over the search cap")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default=None)
     sub.set_defaults(handler=cmd_grid)
@@ -329,6 +317,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FrameError, ValueError, OSError) as exc:
+    except (FrameError, ValueError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

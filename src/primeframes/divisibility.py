@@ -71,20 +71,20 @@ level on every column lower that bound, and when they do, the
 largest-norm Gram matrix would be singular, so only the pivoted Cholesky
 choice is tried.
 
-A search over all sizes tries the reduction first when mu < 1/4 and its
-2^(m-r-1) rows plus _REDUCTION_SETUP_ROWS, its set-up cost in kernel rows,
-are fewer than the kernel's subset count for the sizes searched.  Its
-chunks start at 2^_LOW_BITS rows and double.  After each chunk with an
-accepted subset, it compares the rows it still has to enumerate with the
-kernel rows that reach that subset (the smaller sizes in full, plus the
-subset's colex rank, plus 1); when its own are more, it hands over to
-the kernel, which stops at the first certificate, at or before that
-subset.  A frame rich in divisors thus pays one chunk of the reduction
-and a short kernel search.  Otherwise, and for searches restricted to
-some sizes, the kernel runs alone.
+A search over all sizes runs the reduction when mu < 1/4 and it costs
+fewer kernel rows than the kernel's subset count: 2^(m-r-1) rows plus
+its set-up, first with the most pivots possible (before the Gram matrix
+is built), then with the pivots found.  Its chunks start at 2^_LOW_BITS
+rows and double.  After a chunk with an accepted subset, it compares
+the rows it has left with the kernel rows that reach that subset (the
+smaller sizes in full, plus the subset's colex rank, plus 1); when its
+own are more, it hands over to the kernel, which stops at the first
+certificate, at or before that subset.  So a frame rich in divisors
+pays one chunk and a short kernel search.  Otherwise, and for searches
+restricted to some sizes, the kernel runs alone.
 
-Enumeration is exponential in m, so searches refuse frames with more
-than SEARCH_CAP vectors unless forced.
+Unless forced, a search is refused over _BUDGET rows (no search of at
+most SEARCH_CAP vectors is) or SEARCH_CAP dimensions (before set-up).
 """
 
 from __future__ import annotations
@@ -99,6 +99,7 @@ from .errors import NotTightError, SearchCapError
 from .frames import DEFAULT_TOL, FrameMatrix, _bound_and_residual, _check_tol
 
 SEARCH_CAP = 26
+_BUDGET = 1 << (SEARCH_CAP - 1)
 
 _DELTA = 1e-12
 _FIRST_CHUNK = 16
@@ -306,11 +307,27 @@ def _require_tight(entries: np.ndarray, tol: float) -> float:
     return bound
 
 
-def _check_cap(m: int, force: bool):
-    if m > SEARCH_CAP and not force:
+def _kernel_rows(cols: int, sizes, pinned: bool = True) -> int:
+    """The kernel's subsets of ``cols`` columns for ``sizes``, pinned or
+    not; the sum stops at _RANK_LIMIT, so wide frames take few terms."""
+    rows = 0
+    for size in sizes:
+        rows += comb(cols - pinned, size - pinned)
+        if rows >= _RANK_LIMIT:
+            return _RANK_LIMIT
+    return rows
+
+
+def _reduction_rows(width: int, pivots: int) -> int:
+    return (1 << (width - pivots)) + _REDUCTION_SETUP_ROWS
+
+
+def _check_budget(n: int, force: bool, rows: int = 0):
+    if not force and (rows > _BUDGET or n > SEARCH_CAP):
         raise SearchCapError(
-            "m = %d exceeds the subset search cap %d; pass force=True to "
-            "search anyway" % (m, SEARCH_CAP))
+            "over the search cap of %d dimensions and %d subset rows: %d "
+            "dimensions, %s rows; force it to run anyway"
+            % (SEARCH_CAP, _BUDGET, n, rows or "uncounted"))
 
 
 def _rest(cols, part) -> list:
@@ -387,7 +404,7 @@ def _forcing(gram, norms, pivots, margin, rounding):
     return (linv.T.dot(linv.dot(rows)), mu) if mu < 0.25 else None
 
 
-def _pivot_reduction(coords, cols, n, bound, tol, work):
+def _pivot_reduction(coords, cols, n, bound, tol):
     """Pivot positions, their forcing matrix and mu for the frame on
     ``cols``, or None.
 
@@ -399,16 +416,11 @@ def _pivot_reduction(coords, cols, n, bound, tol, work):
     greedy choice; when fewer coordinates than pivots are live (their sum
     of squares over the columns above _PIVOT_FLOOR times the total), the
     largest-norm Gram matrix would be singular and the greedy choice is
-    the only one tried.  Returns None
-    when 2^(free columns - 1) rows plus _REDUCTION_SETUP_ROWS are not fewer
-    than ``work`` kernel rows, or when mu >= 1/4.
+    the only one tried.  Needs tol < 1; returns None when mu >= 1/4.
     """
     width = len(cols) - 1
     d = coords.shape[1] - 1
     most = min(d - 1, width)  # the n diagonal coordinates sum to zero
-    work = min(work, _RANK_LIMIT)
-    if (1 << (width - most)) + _REDUCTION_SETUP_ROWS >= work or tol >= 1.0:
-        return None
     # ||T_J|| <= tol ||S_J|| <= tol ||S||, and ||S||^2 (1 - residual^2)
     # = n bound^2 since S - bound I is traceless
     margin = (tol + _DELTA) * sqrt(n / (1.0 - tol * tol)) * bound
@@ -429,32 +441,25 @@ def _pivot_reduction(coords, cols, n, bound, tol, work):
         if found is not None:
             return (largest,) + found
     pivots = _greedy_pivots(gram, min(most, rank), (64.0 * margin) ** 2)
-    if (1 << (width - len(pivots))) + _REDUCTION_SETUP_ROWS >= work:
-        return None
     found = _forcing(gram, norms, pivots, margin, rounding)
     return None if found is None else (pivots,) + found
 
 
-def _reduction_search(entries, coords, cols, sizes, bound, tol):
+def _reduction_search(entries, cols, sizes, bound, tol, reduction):
     """The first subset of ``cols`` that the exact rule accepts, found by
     pivot reduction, or None when the kernel has to search.
 
-    Subsets hold cols[0] and have a size in the range ``sizes``.  Returns
-    [] when no subset is accepted (the frame is prime) and [(index list,
-    subset bound)] for the least accepted subset in the kernel's order
-    (size, then ascending bitmask), which is the kernel's first
-    certificate.  Returns None when the reduction does not pay (see
-    ``_pivot_reduction``), or when, after a chunk, its rows still to
-    enumerate outnumber the kernel rows up to the best subset so far.
+    Subsets hold cols[0] and have a size in the range ``sizes``, and
+    ``reduction`` is ``_pivot_reduction`` of the frame on ``cols``.
+    Returns [] when no subset is accepted (the frame is prime) and
+    [(index list, subset bound)] for the least accepted subset in the
+    kernel's order (size, then ascending bitmask), the kernel's first
+    certificate; None when, after a chunk, its rows still to enumerate
+    outnumber the kernel rows up to the best subset so far.
     Each chunk's survivors are sorted once, by size and then from the
     highest position down, which is ascending (size, bitmask).
     """
     width = len(cols) - 1
-    work = sum(comb(width, s - 1) for s in sizes)
-    reduction = _pivot_reduction(coords, cols, entries.shape[0], bound, tol,
-                                 work)
-    if reduction is None:
-        return None
     pivots, forced, mu = reduction
     free = [i for i in range(1, width + 1) if i not in pivots]
     low = min(len(free), _LOW_BITS)
@@ -510,7 +515,7 @@ def _reduction_search(entries, coords, cols, sizes, bound, tol):
         step = min(2 * step, max(1, _REDUCTION_CHUNK >> low))
         if best is not None and start < blocks:
             members = best[1]
-            reach = sum(comb(width, s - 1) for s in sizes if s < len(members))
+            reach = _kernel_rows(width + 1, range(sizes.start, len(members)))
             reach += sum(comb(p - 1, j) for j, p in enumerate(members) if j)
             if (blocks - start) << low > reach + 1:
                 return None
@@ -519,22 +524,34 @@ def _reduction_search(entries, coords, cols, sizes, bound, tol):
     return [([cols[i] for i in best[1]], best[2])]
 
 
-def _first_divisor(entries, coords, cols, bound, tol, sizes=None):
+def _first_divisor(entries, cols, bound, tol, force, coords=None,
+                   sizes=None):
     """First divisor of the frame on ``cols`` (0-based, ascending) with
     bound ``bound``, as (index list, subset bound, complement bound), or
     None if prime.
 
     Subsets hold cols[0] and go by size, then ascending bitmask.  By
-    default every size in [n, len(cols) - n] is searched, and pivot
-    reduction (``_reduction_search``) decides the verdict and the first
-    certificate unless it does not pay or hands over to the kernel;
-    searches restricted to ``sizes`` run the kernel alone.
+    default every size in [n, len(cols) - n] is searched, by pivot
+    reduction when it costs fewer kernel rows (``_check_budget`` gets the
+    rows of the path taken); restricted ``sizes`` run the kernel alone.
+    ``coords`` is ``_coordinates(entries)``, built here when not passed.
     """
-    n = entries.shape[0]
-    found = None
-    if sizes is None:
-        sizes = range(n, len(cols) - n + 1)
-        found = _reduction_search(entries, coords, cols, sizes, bound, tol)
+    n, width = entries.shape[0], len(cols) - 1
+    if coords is None:
+        _check_budget(n, force)  # the dimension rule, before set-up
+        coords = _coordinates(entries)
+    reduce, sizes = sizes is None, sizes or range(n, width - n + 2)
+    rows = _kernel_rows(width + 1, sizes)
+    reduction = None
+    if reduce and tol < 1.0 and _reduction_rows(
+            width, min(coords.shape[1] - 2, width)) < rows:
+        reduced = _pivot_reduction(coords, cols, n, bound, tol)
+        cost = reduced and _reduction_rows(width, len(reduced[0]))
+        if cost and cost < rows:
+            reduction, rows = reduced, cost
+    _check_budget(n, force, rows)
+    found = reduction and _reduction_search(entries, cols, sizes, bound,
+                                            tol, reduction)
     if found is None:
         found = _tight_parts(entries, coords, cols, sizes, True, bound, tol)
     for part, sub_bound in found:
@@ -552,15 +569,14 @@ def find_divisor(phi: FrameMatrix, size_filter: int | None = None,
     complement size.  Returns a DivisorCertificate or None.
     """
     bound = _require_tight(phi.entries, tol)
-    _check_cap(phi.m, force)
     n, m = phi.n, phi.m
     sizes = None
     if size_filter is not None:
         if not n <= size_filter <= m - n:
             raise ValueError("size_filter must lie in [n, m - n]")
         sizes = sorted({size_filter, m - size_filter})
-    found = _first_divisor(phi.entries, _coordinates(phi.entries), range(m),
-                           bound, tol, sizes)
+    found = _first_divisor(phi.entries, range(m), bound, tol, force,
+                           sizes=sizes)
     if found is None:
         return None
     part, sub_bound, _ = found
@@ -574,18 +590,14 @@ def is_prime_bruteforce(phi: FrameMatrix, tol: float = DEFAULT_TOL,
 
     With fewer than 2n vectors no proper subset can be tight with a tight
     complement (the smaller part could not span), so the search is skipped.
-    Otherwise it runs the search of ``find_divisor``: pivot reduction when
-    that is cheaper than the kernel, handing over to the kernel when a
-    divisor it meets is closer in kernel rows than the end of its own
-    enumeration (see the module docstring).  Every path gives the verdict
-    of checking every subset.
+    Otherwise it runs the search of ``find_divisor``, whose every path
+    gives the verdict of checking every subset.
     """
     bound = _require_tight(phi.entries, tol)
     if phi.m < 2 * phi.n:
         return True
-    _check_cap(phi.m, force)
-    return _first_divisor(phi.entries, _coordinates(phi.entries),
-                          range(phi.m), bound, tol) is None
+    return _first_divisor(phi.entries, range(phi.m), bound, tol,
+                          force) is None
 
 
 def complement_certificate(phi: FrameMatrix, subset,
@@ -620,8 +632,8 @@ def prime_factorization(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     live = np.any(entries, axis=0)
     cols = np.flatnonzero(live).tolist()
     bound = _require_tight(entries[:, cols], tol)
-    _check_cap(phi.m, force)
     zero = tuple(int(i) + 1 for i in np.flatnonzero(~live))
+    _check_budget(n, force)  # the dimension rule, before set-up
     coords = _coordinates(entries)
     factors = []
     bounds = []
@@ -631,7 +643,7 @@ def prime_factorization(phi: FrameMatrix, tol: float = DEFAULT_TOL,
         was checked tight above or by the search that split it off."""
         found = None
         if len(cols) >= 2 * n:
-            found = _first_divisor(entries, coords, cols, bound, tol)
+            found = _first_divisor(entries, cols, bound, tol, force, coords)
         if found is None:
             factors.append(tuple(i + 1 for i in cols))
             bounds.append(bound)
@@ -655,8 +667,8 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     tuples, e.g. [(2, 2, 2, 2, 2), (5, 5)].
     """
     _require_tight(phi.entries, tol)
-    _check_cap(phi.m, force)
     n, entries = phi.n, phi.entries
+    _check_budget(n, force, _kernel_rows(phi.m, range(n, phi.m - n + 1)))
     coords = _coordinates(entries)
     memo = {}
 
@@ -671,7 +683,7 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
                 parent_bound, tol):
             divisible = True
             if len(part) >= 2 * n and _first_divisor(
-                    entries, coords, part, part_bound, tol) is not None:
+                    entries, part, part_bound, tol, force, coords) is not None:
                 continue
             for sizes in solve(tuple(_rest(rem, part))):
                 out.add(tuple(sorted(sizes + (len(part),))))
@@ -690,7 +702,7 @@ def tight_subsets(phi: FrameMatrix, size: int, tol: float = DEFAULT_TOL,
     if not 1 <= size <= phi.m:
         raise ValueError("size out of range")
     _check_tol(tol)
-    _check_cap(phi.m, force)
+    _check_budget(phi.n, force, _kernel_rows(phi.m, (size,), False))
     hits = _tight_parts(phi.entries, _coordinates(phi.entries),
                         range(phi.m), (size,), False, np.inf, tol)
     return sorted(tuple(i + 1 for i in part) for part, _ in hits)

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divisibility import SEARCH_CAP, is_prime_bruteforce
-from .errors import FrameError, InfeasibleError
+from .divisibility import is_prime_bruteforce
+from .errors import FrameError, InfeasibleError, SearchCapError
 from .frames import FrameMatrix
 
 
@@ -209,9 +209,9 @@ def stf_factorize(n: int, m: int) -> StfFactorization:
 
 
 def _verify_core_prime(n: int, core: FrameMatrix):
-    if core.m <= SEARCH_CAP:
+    try:
         ok = is_prime_bruteforce(core)
-    else:
-        ok = core.m < 2 * n or not stf_is_divisible(n, core.m)
+    except SearchCapError:
+        ok = not stf_is_divisible(n, core.m)
     if not ok:
         raise FrameError("factorization left a non-prime core; this is a bug")

@@ -331,10 +331,21 @@ def test_grid_json_shape(capsys):
 
 
 def test_grid_refuses_oversized_sweep(capsys):
-    code, _, err = run_cli(capsys, ["grid", "--nmax", "2", "--mmax", "27"])
+    # htf(2, 28) takes 2^25 + 1024 reduction rows, over the search cap
+    code, _, err = run_cli(capsys, ["grid", "--nmax", "2", "--mmax", "28"])
     assert code == 1 and "cap" in err
     code, _, err = run_cli(capsys, ["grid", "--nmax", "1", "--mmax", "6"])
     assert code == 1
+
+
+def test_failed_allocations_end_in_an_error_line(capsys):
+    # each asks for far more memory than any machine has: 4 EiB of
+    # booleans for the reachable sums, 7 TiB for the harmonic powers
+    for argv in (["sets", "--n", "2", "--m", "4611686018427387904"],
+                 ["htf", "--n", "2", "--m", "1000000000000"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "allocate" in err
 
 
 def test_usage_errors_exit_with_two(capsys):

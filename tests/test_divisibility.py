@@ -212,11 +212,53 @@ def test_search_cap_enforced_and_forceable():
         find_divisor(big)
     with pytest.raises(SearchCapError):
         is_prime_bruteforce(big)
+    # C(30, 15) rows are over the cap; C(30, 2) are not
     with pytest.raises(SearchCapError):
-        tight_subsets(big, 2)
+        tight_subsets(big, 15)
     cert = find_divisor(big, force=True)
     assert cert.subset == (1, 16)
+    assert len(tight_subsets(big, 2)) == 15
     assert len(tight_subsets(big, 2, force=True)) == 15
+
+
+def test_every_search_of_at_most_26_vectors_fits_the_cap():
+    for m in range(1, 27):
+        for n in range(1, m + 1):
+            full = range(n, m - n + 1)
+            assert divisibility._kernel_rows(m, full) <= divisibility._BUDGET
+            for size in full:
+                assert divisibility._kernel_rows(
+                    m, sorted({size, m - size})) <= divisibility._BUDGET
+        for size in range(1, m + 1):
+            assert divisibility._kernel_rows(
+                m, (size,), False) <= divisibility._BUDGET
+    assert divisibility._kernel_rows(26, range(1, 26)) == (1 << 25) - 1
+    # a wide frame is counted in a few terms, saturated
+    assert divisibility._kernel_rows(20000, range(1, 19999)) == (
+        divisibility._RANK_LIMIT)
+
+
+def test_cap_is_on_the_estimated_rows():
+    # the reduction proves this frame prime in 2^24 + 1024 rows
+    assert is_prime_bruteforce(random_tight_frame(3, 30, 0))
+    with pytest.raises(SearchCapError):
+        is_prime_bruteforce(htf(HtfParams(2, 28)))
+    assert not is_prime_bruteforce(htf(HtfParams(2, 27)))
+
+
+def test_frames_in_more_than_26_dimensions_are_refused_before_set_up(
+        monkeypatch):
+    phi = random_tight_frame(27, 54, 0)
+
+    def no_coordinates(*args):
+        raise AssertionError("coordinates built")
+
+    monkeypatch.setattr(divisibility, "_coordinates", no_coordinates)
+    for call in (is_prime_bruteforce, find_divisor, prime_factorization,
+                 prime_factor_size_multisets,
+                 lambda phi: tight_subsets(phi, 1)):
+        with pytest.raises(SearchCapError, match=": 27 dimensions"):
+            call(phi)
 
 
 def test_certificate_counts_match_unpinned_reference():
@@ -595,7 +637,7 @@ def test_pivots_have_full_rank_and_are_well_conditioned():
         coords = _coordinates(phi.entries)
         bound = check_tight(phi).bound
         found = divisibility._pivot_reduction(
-            coords, range(phi.m), phi.n, bound, 1e-9, 1 << 60)
+            coords, range(phi.m), phi.n, bound, 1e-9)
         assert found is not None
         pivots, forced, mu = found
         assert 0 not in pivots and mu < 1e-3
@@ -623,7 +665,7 @@ def test_dependent_pivots_are_refused():
                                   for i, a in enumerate(sizes)]), rng)
         coords = _coordinates(phi.entries)
         pivots, forced, mu = divisibility._pivot_reduction(
-            coords, range(phi.m), 4, check_tight(phi).bound, 1e-9, 1 << 60)
+            coords, range(phi.m), 4, check_tight(phi).bound, 1e-9)
         assert np.linalg.cond(coords[pivots, :-1]) < 1e3 and mu < 1e-3
         assert not is_prime_bruteforce(phi)
         assert find_divisor(phi) == reference_find_divisor(phi, 1e-9)
@@ -675,11 +717,11 @@ def test_reduction_hands_over_on_divisor_rich_frames():
     # reduction hands over instead of enumerating 2^15 assignments
     phi = FrameMatrix.from_array(np.hstack([np.eye(3)] * 6))
     coords = _coordinates(phi.entries)
+    reduction = divisibility._pivot_reduction(coords, range(18), 3, 6.0, 1e-9)
     found = divisibility._reduction_search(
-        phi.entries, coords, range(18), range(3, 16), 6.0, 1e-9)
+        phi.entries, range(18), range(3, 16), 6.0, 1e-9, reduction)
     assert found is None
-    assert divisibility._pivot_reduction(
-        coords, range(18), 3, 6.0, 1e-9, 1 << 60) is not None
+    assert reduction is not None
     assert find_divisor(phi).subset == (1, 2, 3)
 
 
@@ -698,7 +740,7 @@ def test_low_rank_frames_try_only_the_greedy_pivots(monkeypatch):
         calls.clear()
         found = divisibility._pivot_reduction(
             _coordinates(phi.entries), range(phi.m), phi.n,
-            check_tight(phi).bound, 1e-9, 1 << 60)
+            check_tight(phi).bound, 1e-9)
         assert found is not None and len(found[0]) == rank
         assert calls == [found[0]]
 
@@ -738,10 +780,8 @@ def test_mu_margin_is_wide_enough():
     tol = _bound_and_residual(phi.entries[:, list(range(11))])[1]
     assert 1e-7 < tol < 1e-6 and check_tight(phi, tol).is_tight
     coords = _coordinates(phi.entries)
-    sizes = range(2, 12)
-    work = sum(comb(12, s - 1) for s in sizes)
     reduced = divisibility._pivot_reduction(
-        coords, range(13), 2, check_tight(phi).bound, tol, work)
+        coords, range(13), 2, check_tight(phi).bound, tol)
     assert reduced is not None and len(reduced[0]) == 1
     cert = find_divisor(phi, tol=tol)
     assert cert is not None and cert.subset == subset
@@ -769,12 +809,13 @@ def test_survivors_are_redecided_only_inside_the_mu_window(monkeypatch):
     coords = _coordinates(entries)
     bound = check_tight(phi).bound
     sizes = range(2, phi.m - 1)
-    pivots, forced, _ = divisibility._pivot_reduction(
-        coords, range(phi.m), 2, bound, 1e-9, 1 << 60)
+    reduction = divisibility._pivot_reduction(
+        coords, range(phi.m), 2, bound, 1e-9)
+    pivots, forced, _ = reduction
     assert pivots[0] == 3 and np.allclose(forced[0, [1, 2]], -0.5)
     found, redecided = count_redecisions(
         monkeypatch, lambda: divisibility._reduction_search(
-            entries, coords, range(phi.m), sizes, bound, 1e-9))
+            entries, range(phi.m), sizes, bound, 1e-9, reduction))
     part = [0] + list(range(4, 12))
     assert found == [(part, _bound_and_residual(entries[:, part])[0])]
     assert redecided == 1
