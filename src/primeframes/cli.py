@@ -108,7 +108,7 @@ def cmd_analyze(args):
         payload["welch_bound"] = (
             welch_bound(phi.n, phi.m) if phi.m >= phi.n else None)
     if args.factor:
-        payload.update(prime_factorization(phi, tol).to_json_obj())
+        payload.update(prime_factorization(phi, tol, args.force).to_json_obj())
     _emit_obj(payload, args)
     return 0
 
@@ -116,10 +116,10 @@ def cmd_analyze(args):
 def cmd_factor(args):
     phi = io.read_frame(args.input)
     tol = args.tol if args.tol is not None else _default_tol()
-    payload = prime_factorization(phi, tol).to_json_obj()
+    payload = prime_factorization(phi, tol, args.force).to_json_obj()
     if args.all_minimal:
         payload["size_multisets"] = [
-            list(t) for t in prime_factor_size_multisets(phi, tol)]
+            list(t) for t in prime_factor_size_multisets(phi, tol, args.force)]
     _emit_obj(payload, args)
     return 0
 
@@ -220,6 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constructions and divisibility decisions for finite "
                     "tight frames.")
     subs = parser.add_subparsers(dest="command", required=True)
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--force", action="store_true",
+                        help="allow searches over the search cap")
+    search.add_argument("--output", default=None)
 
     sub = subs.add_parser("htf", help="harmonic tight frame matrix")
     sub.add_argument("--n", type=int, required=True)
@@ -250,20 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_frame_output(sub)
     sub.set_defaults(handler=cmd_extendprime)
 
-    sub = subs.add_parser("analyze", help="diagnostics for a tight frame file")
+    sub = subs.add_parser("analyze", parents=[search],
+                          help="diagnostics for a tight frame file")
     sub.add_argument("--input", required=True)
     sub.add_argument("--tol", type=float, default=None)
     sub.add_argument("--factor", action="store_true",
                      help="include a prime factorization")
-    sub.add_argument("--output", default=None)
     sub.set_defaults(handler=cmd_analyze)
 
-    sub = subs.add_parser("factor", help="prime factorization of a tight frame")
+    sub = subs.add_parser("factor", parents=[search],
+                          help="prime factorization of a tight frame")
     sub.add_argument("--input", required=True)
     sub.add_argument("--tol", type=float, default=None)
     sub.add_argument("--all-minimal", action="store_true",
                      help="also enumerate all factor-size multisets")
-    sub.add_argument("--output", default=None)
     sub.set_defaults(handler=cmd_factor)
 
     sub = subs.add_parser("sets", help="divisor size sets of a harmonic frame")
@@ -294,14 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--output", default=None)
     sub.set_defaults(handler=cmd_bench)
 
-    sub = subs.add_parser("grid", help="primality/divisibility table over a "
-                                       "parameter grid")
+    sub = subs.add_parser("grid", parents=[search],
+                          help="primality/divisibility table over a grid")
     sub.add_argument("--nmax", type=int, required=True)
     sub.add_argument("--mmax", type=int, required=True)
-    sub.add_argument("--force", action="store_true",
-                     help="allow searches over the search cap")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--output", default=None)
     sub.set_defaults(handler=cmd_grid)
 
     return parser

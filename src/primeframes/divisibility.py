@@ -71,17 +71,17 @@ level on every column lower that bound, and when they do, the
 largest-norm Gram matrix would be singular, so only the pivoted Cholesky
 choice is tried.
 
-A search over all sizes runs the reduction when mu < 1/4 and it costs
-fewer kernel rows than the kernel's subset count: 2^(m-r-1) rows plus
-its set-up, first with the most pivots possible (before the Gram matrix
-is built), then with the pivots found.  Its chunks start at 2^_LOW_BITS
-rows and double.  After a chunk with an accepted subset, it compares
-the rows it has left with the kernel rows that reach that subset (the
-smaller sizes in full, plus the subset's colex rank, plus 1); when its
-own are more, it hands over to the kernel, which stops at the first
-certificate, at or before that subset.  So a frame rich in divisors
-pays one chunk and a short kernel search.  Otherwise, and for searches
-restricted to some sizes, the kernel runs alone.
+A first-divisor search, over every size or some, runs the reduction
+when mu < 1/4 and it costs fewer kernel rows than the kernel's subset
+count for those sizes: 2^(m-r-1) rows plus its set-up, first with the
+most pivots possible (before the Gram matrix is built), then with the
+pivots found.  Its chunks start at 2^_LOW_BITS rows and double.  After
+a chunk with an accepted subset, it compares the rows it has left with
+the kernel rows that reach that subset (the smaller searched sizes in
+full, plus its colex rank, plus 1); when its own are more, it hands over
+to the kernel, which stops at the first certificate, at or before that
+subset.  So a frame rich in divisors pays one chunk and a short kernel
+search.  Otherwise, and to list every accepted subset, the kernel runs.
 
 Unless forced, a search is refused over _BUDGET rows (no search of at
 most SEARCH_CAP vectors is) or SEARCH_CAP dimensions (before set-up).
@@ -449,7 +449,7 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
     """The first subset of ``cols`` that the exact rule accepts, found by
     pivot reduction, or None when the kernel has to search.
 
-    Subsets hold cols[0] and have a size in the range ``sizes``, and
+    Subsets hold cols[0] and have a size in ``sizes``, ascending, and
     ``reduction`` is ``_pivot_reduction`` of the frame on ``cols``.
     Returns [] when no subset is accepted (the frame is prime) and
     [(index list, subset bound)] for the least accepted subset in the
@@ -498,7 +498,7 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
             rows[:, free] = bits[whole]
             rows[:, pivots] = shifted[whole] < 0.0
             size = rows.sum(axis=1)
-            fits = (size >= sizes.start) & (size < sizes.stop)
+            fits = np.array([k in sizes for k in range(width + 2)])[size]
             rows, size = rows[fits], size[fits]
             # ascending (size, bitmask): size, then the highest position down
             for row in np.lexsort((*rows.T, size)):
@@ -515,7 +515,7 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
         step = min(2 * step, max(1, _REDUCTION_CHUNK >> low))
         if best is not None and start < blocks:
             members = best[1]
-            reach = _kernel_rows(width + 1, range(sizes.start, len(members)))
+            reach = _kernel_rows(width + 1, sizes[:sizes.index(len(members))])
             reach += sum(comb(p - 1, j) for j, p in enumerate(members) if j)
             if (blocks - start) << low > reach + 1:
                 return None
@@ -524,26 +524,28 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
     return [([cols[i] for i in best[1]], best[2])]
 
 
-def _first_divisor(entries, cols, bound, tol, force, coords=None,
+def _first_divisor(entries, cols, bound, tol, force, coordinates=None,
                    sizes=None):
     """First divisor of the frame on ``cols`` (0-based, ascending) with
     bound ``bound``, as (index list, subset bound, complement bound), or
     None if prime.
 
-    Subsets hold cols[0] and go by size, then ascending bitmask.  By
-    default every size in [n, len(cols) - n] is searched, by pivot
-    reduction when it costs fewer kernel rows (``_check_budget`` gets the
-    rows of the path taken); restricted ``sizes`` run the kernel alone.
-    ``coords`` is ``_coordinates(entries)``, built here when not passed.
+    Subsets hold cols[0] and go by size, then ascending bitmask, over the
+    ascending ``sizes``, by default every size in [n, len(cols) - n].
+    Fewer than 2n columns are prime unsearched (the smaller part could
+    not span).  The search runs by pivot reduction when it costs fewer
+    kernel rows (``_check_budget`` gets the rows of the path taken).
+    ``coordinates(entries)`` is ``_coordinates(entries)``, by default.
     """
     n, width = entries.shape[0], len(cols) - 1
-    if coords is None:
-        _check_budget(n, force)  # the dimension rule, before set-up
-        coords = _coordinates(entries)
-    reduce, sizes = sizes is None, sizes or range(n, width - n + 2)
+    if len(cols) < 2 * n:
+        return None
+    _check_budget(n, force)  # the dimension rule, before set-up
+    coords = (coordinates or _coordinates)(entries)
+    sizes = sizes or range(n, width - n + 2)
     rows = _kernel_rows(width + 1, sizes)
     reduction = None
-    if reduce and tol < 1.0 and _reduction_rows(
+    if tol < 1.0 and _reduction_rows(
             width, min(coords.shape[1] - 2, width)) < rows:
         reduced = _pivot_reduction(coords, cols, n, bound, tol)
         cost = reduced and _reduction_rows(width, len(reduced[0]))
@@ -588,16 +590,12 @@ def is_prime_bruteforce(phi: FrameMatrix, tol: float = DEFAULT_TOL,
                         force: bool = False) -> bool:
     """Exhaustive primality decision for a tight frame.
 
-    With fewer than 2n vectors no proper subset can be tight with a tight
-    complement (the smaller part could not span), so the search is skipped.
-    Otherwise it runs the search of ``find_divisor``, whose every path
-    gives the verdict of checking every subset.
+    Runs the search of ``find_divisor``, whose every path gives the
+    verdict of checking every subset; a frame of fewer than 2n vectors is
+    prime without a search.
     """
     bound = _require_tight(phi.entries, tol)
-    if phi.m < 2 * phi.n:
-        return True
-    return _first_divisor(phi.entries, range(phi.m), bound, tol,
-                          force) is None
+    return _first_divisor(phi.entries, range(phi.m), bound, tol, force) is None
 
 
 def complement_certificate(phi: FrameMatrix, subset,
@@ -628,22 +626,22 @@ def prime_factorization(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     affect tightness; they are set aside and attached to the final
     factor.  The factor count never exceeds floor(m / n).
     """
-    n, entries = phi.n, phi.entries
+    entries = phi.entries
     live = np.any(entries, axis=0)
     cols = np.flatnonzero(live).tolist()
     bound = _require_tight(entries[:, cols], tol)
     zero = tuple(int(i) + 1 for i in np.flatnonzero(~live))
-    _check_budget(n, force)  # the dimension rule, before set-up
-    coords = _coordinates(entries)
-    factors = []
-    bounds = []
+    factors, bounds, coords = [], [], None
+
+    def coordinates(entries):
+        nonlocal coords
+        coords = _coordinates(entries) if coords is None else coords
+        return coords
 
     def split(cols, bound):
         """Factor the frame on ``cols``, whose bound is ``bound`` and which
         was checked tight above or by the search that split it off."""
-        found = None
-        if len(cols) >= 2 * n:
-            found = _first_divisor(entries, cols, bound, tol, force, coords)
+        found = _first_divisor(entries, cols, bound, tol, force, coordinates)
         if found is None:
             factors.append(tuple(i + 1 for i in cols))
             bounds.append(bound)
@@ -682,8 +680,8 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
                 entries, coords, rem, range(n, len(rem) - n + 1), True,
                 parent_bound, tol):
             divisible = True
-            if len(part) >= 2 * n and _first_divisor(
-                    entries, part, part_bound, tol, force, coords) is not None:
+            if _first_divisor(entries, part, part_bound, tol, force,
+                              lambda entries: coords) is not None:
                 continue
             for sizes in solve(tuple(_rest(rem, part))):
                 out.add(tuple(sorted(sizes + (len(part),))))

@@ -228,6 +228,25 @@ def test_factor_command(tmp_path, capsys):
     assert payload["size_multisets"] == [[2, 2, 2, 2, 2], [5, 5]]
 
 
+def test_factor_over_the_cap_runs_with_force(tmp_path, capsys):
+    # htf(2, 30) costs 2^27 + 1024 reduction rows, over the search cap;
+    # forced, it splits into 15 pairs in milliseconds
+    path = os.path.join(tmp_path, "frame.json")
+    code, _, _ = run_cli(capsys, ["htf", "--n", "2", "--m", "30",
+                                  "--output", path])
+    assert code == 0
+    for argv in (["factor", "--input", path],
+                 ["analyze", "--input", path, "--factor"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: over the search cap")
+        assert "force it to run anyway" in err
+        code, out, _ = run_cli(capsys, argv + ["--force"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["factors"] == [[i, i + 15] for i in range(1, 16)]
+
+
 def test_sets_command(capsys):
     code, out, _ = run_cli(capsys, ["sets", "--n", "3", "--m", "24"])
     assert code == 0

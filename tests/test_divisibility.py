@@ -261,6 +261,24 @@ def test_frames_in_more_than_26_dimensions_are_refused_before_set_up(
             call(phi)
 
 
+def test_frames_of_fewer_than_2n_columns_are_not_searched(monkeypatch):
+    # np.eye(28) has 28 < 56 columns: prime at any dimension, no search
+    # and no coordinates; two copies of np.eye(27) are searched, and so
+    # refused in 27 dimensions
+    def no_coordinates(*args):
+        raise AssertionError("coordinates built")
+
+    monkeypatch.setattr(divisibility, "_coordinates", no_coordinates)
+    eye = FrameMatrix.from_array(np.eye(28))
+    assert is_prime_bruteforce(eye)
+    assert find_divisor(eye) is None
+    assert prime_factorization(eye).factors == (tuple(range(1, 29)),)
+    pair = FrameMatrix.from_array(np.hstack([np.eye(27)] * 2))
+    for call in (is_prime_bruteforce, find_divisor, prime_factorization):
+        with pytest.raises(SearchCapError, match=": 27 dimensions"):
+            call(pair)
+
+
 def test_certificate_counts_match_unpinned_reference():
     # every qualifying subset found by raw enumeration must be certifiable
     phi = hexagon_frame()
@@ -490,17 +508,28 @@ def test_certificate_past_the_first_chunk():
     assert prime_factor_size_multisets(phi) == [(4, 6)]
 
 
-def test_kernel_memory_stays_bounded():
+def peak_memory(call):
+    """The call's value and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        value = call()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_memory_stays_bounded(monkeypatch):
     # C(23, 11) = 1,352,078 subsets of size 12 holding column 1; holding
     # them all at once would take hundreds of MB
     phi = random_tight_frame(3, 24, 0)
-    tracemalloc.start()
-    try:
-        assert find_divisor(phi, size_filter=12) is None
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    with monkeypatch.context() as patch:
+        kernel_only(patch)
+        value, peak = peak_memory(lambda: find_divisor(phi, size_filter=12))
+    assert value is None and peak < 32 * 2 ** 20
+    # unpatched, the search takes the reduction, within the same bound
+    monkeypatch.setattr(divisibility, "_tight_parts", no_kernel)
+    value, peak = peak_memory(lambda: find_divisor(phi, size_filter=12))
+    assert value is None and peak < 32 * 2 ** 20
 
 
 def reference_factorization(phi, tol):
@@ -570,6 +599,11 @@ def kernel_only(monkeypatch):
     """Patch the reduction path away, so every search runs the kernel
     alone."""
     monkeypatch.setattr(divisibility, "_reduction_search", lambda *args: None)
+
+
+def no_kernel(*args):
+    """Stands in for the kernel where a search must not reach it."""
+    raise AssertionError("kernel ran")
 
 
 def planted_split(n, a, b, seed):
@@ -679,9 +713,6 @@ def test_proof_path_decides_large_frames_quickly():
 
 
 def test_proved_prime_frames_skip_the_kernel(monkeypatch):
-    def no_kernel(*args):
-        raise AssertionError("kernel ran")
-
     monkeypatch.setattr(divisibility, "_tight_parts", no_kernel)
     for phi in (random_tight_frame(3, 16, 0), dft_row_frame(3, 13),
                 prime_parseval_extension(3, 12), stf(5, 13)):
@@ -703,12 +734,24 @@ def test_reduction_gives_certificates_without_the_kernel(monkeypatch):
     expected += [find_divisor(phi) for phi in frames[1:]]
     monkeypatch.undo()
 
-    def no_kernel(*args):
-        raise AssertionError("kernel ran")
-
     monkeypatch.setattr(divisibility, "_tight_parts", no_kernel)
     assert [find_divisor(phi) for phi in frames] == expected
     assert all(cert is not None for cert in expected)
+
+
+def test_restricted_searches_take_the_reduction(monkeypatch):
+    # the kernel would take C(27, 13) rows for (3, 28, 0) at size 14 and
+    # C(29, 14) rows, over the search cap, for (4, 30, 0) at size 15; the
+    # reduction takes 2^22 and 2^20
+    split = planted_split(3, 10, 10, 3)
+    kernel_only(monkeypatch)
+    expected = find_divisor(split, size_filter=10)
+    monkeypatch.undo()
+    monkeypatch.setattr(divisibility, "_tight_parts", no_kernel)
+    assert expected is not None
+    assert find_divisor(split, size_filter=10) == expected
+    assert find_divisor(random_tight_frame(3, 28, 0), size_filter=14) is None
+    assert find_divisor(random_tight_frame(4, 30, 0), size_filter=15) is None
 
 
 def test_reduction_hands_over_on_divisor_rich_frames():
@@ -884,13 +927,17 @@ def divisible_frames(draw):
 
 @given(divisible_frames())
 def test_certificates_match_the_kernel(phi):
+    def outcomes(tol):
+        return ([outcome(find_divisor, phi, tol=tol),
+                 outcome(prime_factorization, phi, tol)]
+                + [outcome(find_divisor, phi, size_filter=size, tol=tol)
+                   for size in range(phi.n, phi.m - phi.n + 1)])
+
     for tol in EQUIVALENCE_TOLS:
-        got = (outcome(find_divisor, phi, tol=tol),
-               outcome(prime_factorization, phi, tol))
+        got = outcomes(tol)
         with pytest.MonkeyPatch.context() as patch:
             kernel_only(patch)
-            assert got == (outcome(find_divisor, phi, tol=tol),
-                           outcome(prime_factorization, phi, tol))
+            assert got == outcomes(tol)
 
 
 # --- closed forms against the search ---------------------------------------
