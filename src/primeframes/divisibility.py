@@ -18,9 +18,9 @@ would).  Whatever screens a subset, only the exact rule of
 tol < A_J < B - tol, with B the bound of the frame searched.  Two paths
 apply it.
 
-The kernel screens subsets in chunks and re-decides, in enumeration
+The kernel screens subsets in blocks and re-decides, in enumeration
 order, each subset that passes the screen.  Summing the coordinates over
-a chunk of subsets is one matrix product, and a subset passes when
+a block of subsets is one matrix product, and a subset passes when
 
     ||T_J|| <= (tol + delta) ||S_J||  and
     tol - delta B < A_J < B - tol + delta B,
@@ -30,13 +30,12 @@ screen's rounding error is about m sqrt(n) machine epsilon relative to
 ||S_J|| and to B, far below delta, so for any tol > 0 no subset that the
 exact rule accepts is screened out.  Answers, first certificates and the
 meaning of tol are those of checking every subset with the exact rule.
-Subsets are produced from their colex ranks through the combinatorial
-number system; within one size, colex rank order is ascending bitmask
-order.  Chunks start small and grow, so a search that ends at an early
+Within one size, ascending bitmask order is colex rank order.  A pool of
+at most _TABLE_WIDTH columns takes one block per run of consecutive
+sizes, a slice of a read-only table of all its subsets by size and then
+bitmask.  Wider pools unrank chunks through the combinatorial number
+system; chunks start small and grow, so a search that ends at an early
 certificate stays cheap, and a size class is never held in memory whole.
-Pools of at most _TABLE_WIDTH columns read each chunk as a slice of a
-read-only table of their size class (unranked subsets and 0/1 rows),
-built once per pool width and size; wider pools unrank every chunk.
 
 The reduction path (pivot reduction) decides primality and the first
 certificate with far fewer rows.  Let C be the matrix whose columns are
@@ -105,15 +104,15 @@ _DELTA = 1e-12
 _FIRST_CHUNK = 16
 _MAX_CHUNK = 4096
 _RANK_LIMIT = 1 << 62
-# the reduction's fixed cost in kernel rows, at the kernel's 0.25 us per
-# row on a 2-CPU x86-64 Xeon: about 0.1 ms (400 rows) in a warm loop and
-# 0.2 ms (800 rows) among the benchmark's other searches
+# the reduction's fixed cost in kernel rows, at the chunked kernel's
+# 0.25 us per row on a 2-CPU x86-64 Xeon: about 0.1 ms (400 rows) in a
+# warm loop and 0.2 ms (800 rows) among the benchmark's other searches
 _REDUCTION_SETUP_ROWS = 1024
 _LOW_BITS = 10
 _REDUCTION_CHUNK = 1 << 14
 _PIVOT_FLOOR = 1e-10
-# pools of at most this many columns read their size classes from tables
-# (all of them together about 1.1 MB)
+# pools of at most this many columns are screened in one pass over a
+# table of all their subsets (for all widths up to 12, about 0.7 MB)
 _TABLE_WIDTH = 12
 _EPS = float(np.finfo(float).eps)
 
@@ -167,11 +166,14 @@ def _upper(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _binomials(width: int) -> np.ndarray:
-    """Row j holds C(c, j) for c = 0 .. width - 1, saturated at
-    _RANK_LIMIT so that every entry fits in int64."""
-    return _frozen(np.array(
-        [[min(comb(c, j), _RANK_LIMIT) for c in range(width)]
-         for j in range(width + 1)], dtype=np.int64).reshape(width + 1, width))
+    """Row j holds C(c, j) for c = 0 .. width - 1, saturated at _RANK_LIMIT
+    to fit int64, by Pascal's rule (two saturated entries sum below 2^64)."""
+    table = np.zeros((width + 1, width), dtype=np.uint64)
+    table[0] = 1
+    for c in range(1, width):
+        table[1:, c] = np.minimum(table[1:, c - 1] + table[:-1, c - 1],
+                                  np.uint64(_RANK_LIMIT))
+    return _frozen(table.astype(np.int64))
 
 
 def _coordinates(entries: np.ndarray) -> np.ndarray:
@@ -194,48 +196,62 @@ def _coordinates(entries: np.ndarray) -> np.ndarray:
     return np.concatenate(parts).T.copy()
 
 
-def _unrank(ranks: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
-    """Pool positions of the k-subsets with the given colex ranks, one
-    row per element from the lowest up, one column per rank
-    (combinatorial number system)."""
-    out = np.empty((k, len(ranks)), dtype=np.intp)
-    rest = ranks.copy()
+def _unrank(width: int, k: int, start: int, stop: int) -> np.ndarray:
+    """0/1 rows over a pool of ``width`` columns of the k-subsets with colex
+    ranks start .. stop - 1 (combinatorial number system)."""
+    table = _binomials(width)
+    rest = np.arange(start, stop, dtype=np.int64)
+    picks = np.zeros((stop - start, width))
+    rows = np.arange(stop - start)
     for j in range(k, 0, -1):
-        column = table[j]
-        pos = column.searchsorted(rest, "right")
-        pos -= 1
-        out[j - 1] = pos
-        rest -= column.take(pos)
-    return out
-
-
-def _picks(members: np.ndarray, width: int) -> np.ndarray:
-    """0/1 rows over a pool of ``width`` columns, one per member column."""
-    count = members.shape[1]
-    picks = np.zeros((count, width))
-    picks.ravel()[members + width * np.arange(count)] = 1.0
+        pos = table[j].searchsorted(rest, "right") - 1
+        picks[rows, pos] = 1.0
+        rest -= table[j].take(pos)
     return picks
 
 
 @lru_cache(maxsize=None)
-def _size_class_table(width: int, k: int) -> tuple:
-    """Every k-subset of a pool of ``width`` columns in colex order, as
-    ``_unrank`` gives them and as 0/1 rows, both read-only."""
-    members = _unrank(np.arange(comb(width, k), dtype=np.int64), k,
-                      _binomials(width))
-    return _frozen(members), _frozen(_picks(members, width))
+def _bit_columns(width: int) -> np.ndarray:
+    """Column a holds the binary digits of a, lowest first, as floats."""
+    a = np.arange(1 << width)
+    return _frozen(((a >> np.arange(width)[:, None]) & 1).astype(float))
 
 
-def _size_class(width: int, k: int, start: int, stop: int) -> tuple:
-    """Pool positions and 0/1 rows of the k-subsets with colex ranks
-    start .. stop - 1; pools of at most _TABLE_WIDTH columns read them
-    from a table built once."""
+@lru_cache(maxsize=None)
+def _subset_table(width: int) -> tuple:
+    """Every subset of a pool of ``width`` columns as a read-only 0/1 row,
+    by size and then ascending bitmask, and the first row of each size."""
+    bits = _bit_columns.__wrapped__(width)  # uncached: keep the table only
+    count = bits.sum(axis=0)
+    order = np.argsort(count, kind="stable")
+    return (_frozen(bits.T[order]),
+            tuple(count[order].searchsorted(np.arange(width + 2)).tolist()))
+
+
+def _subset_blocks(width: int, sizes, lead: int):
+    """0/1 rows of the subsets of size s - ``lead`` for s in ``sizes`` of a
+    pool of ``width`` columns, by colex rank within one size, in blocks: a
+    slice of the table per run of consecutive sizes, or unranked chunks."""
     if width <= _TABLE_WIDTH:
-        members, picks = _size_class_table(width, k)
-        return members[:, start:stop], picks[start:stop]
-    members = _unrank(np.arange(start, stop, dtype=np.int64), k,
-                      _binomials(width))
-    return members, _picks(members, width)
+        table, starts = _subset_table(width)
+        ks = [size - lead for size in sizes]
+        # one slice per run of consecutive sizes
+        cuts = [i for i, k in enumerate(ks) if i == 0 or k != ks[i - 1] + 1]
+        for a, b in zip(cuts, cuts[1:] + [len(ks)]):
+            yield table[starts[ks[a]]:starts[ks[b - 1] + 1]]
+        return
+    chunk = _FIRST_CHUNK
+    for size in sizes:
+        total = comb(width, size - lead)
+        if total >= _RANK_LIMIT:
+            raise SearchCapError(
+                "%d subsets of size %d are too many to enumerate"
+                % (total, size))
+        start = 0
+        while start < total:
+            yield _unrank(width, size - lead, start, min(start + chunk, total))
+            start += chunk
+            chunk = min(2 * chunk, _MAX_CHUNK)
 
 
 def _tight_parts(entries, coords, cols, sizes, pinned, bound, tol):
@@ -253,38 +269,24 @@ def _tight_parts(entries, coords, cols, sizes, pinned, bound, tol):
     lead = cols[:1] if pinned else cols[:0]
     pool = cols[len(lead):]
     lead = lead.tolist()
-    width = len(pool)
     points = coords[pool]
     base = coords[lead].sum(axis=0)
     d = coords.shape[1] - 1
     slack = (tol + _DELTA) ** 2
     low = tol - _DELTA * bound
     high = bound - tol + _DELTA * bound
-    chunk = _FIRST_CHUNK
-    for size in sizes:
-        k = size - len(lead)
-        total = comb(width, k)
-        if total >= _RANK_LIMIT:
-            raise SearchCapError(
-                "%d subsets of size %d are too many to enumerate"
-                % (total, size))
-        start = 0
-        while start < total:
-            stop = min(start + chunk, total)
-            members, picks = _size_class(width, k, start, stop)
-            sums = picks @ points
-            sums += base
-            traceless = sums[:, :d]
-            t2 = np.einsum("ij,ij->i", traceless, traceless)
-            a = sums[:, d] / n
-            passed = (t2 <= slack * (t2 + n * a * a)) & (low < a) & (a < high)
-            for row in np.flatnonzero(passed):
-                idx = lead + pool[members[:, row]].tolist()
-                sub_bound = _accepted(entries, idx, bound, tol)
-                if sub_bound is not None:
-                    yield idx, sub_bound
-            start = stop
-            chunk = min(2 * chunk, _MAX_CHUNK)
+    for picks in _subset_blocks(len(pool), sizes, len(lead)):
+        sums = picks @ points
+        sums += base
+        traceless = sums[:, :d]
+        t2 = np.einsum("ij,ij->i", traceless, traceless)
+        a = sums[:, d] / n
+        passed = (t2 <= slack * (t2 + n * a * a)) & (low < a) & (a < high)
+        for row in np.flatnonzero(passed):
+            idx = lead + pool[picks[row].nonzero()[0]].tolist()
+            sub_bound = _accepted(entries, idx, bound, tol)
+            if sub_bound is not None:
+                yield idx, sub_bound
 
 
 def _accepted(entries: np.ndarray, idx, bound: float, tol: float):
@@ -342,13 +344,6 @@ def _check_complement(entries: np.ndarray, cols, part, tol: float) -> float:
     if residual > tol:
         raise NotTightError("complement failed its tightness check")
     return bound
-
-
-@lru_cache(maxsize=None)
-def _bit_columns(width: int) -> np.ndarray:
-    """Column a holds the binary digits of a, lowest first, as floats."""
-    a = np.arange(1 << width)
-    return _frozen(((a >> np.arange(width)[:, None]) & 1).astype(float))
 
 
 def _greedy_pivots(gram, most, floor) -> list:
@@ -456,8 +451,9 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
     kernel's order (size, then ascending bitmask), the kernel's first
     certificate; None when, after a chunk, its rows still to enumerate
     outnumber the kernel rows up to the best subset so far.
-    Each chunk's survivors are sorted once, by size and then from the
-    highest position down, which is ascending (size, bitmask).
+    Each chunk's survivors are sorted once, by size and then by their
+    bytes from the highest position down, which is ascending (size,
+    bitmask).
     """
     width = len(cols) - 1
     pivots, forced, mu = reduction
@@ -500,8 +496,9 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
             size = rows.sum(axis=1)
             fits = np.array([k in sizes for k in range(width + 2)])[size]
             rows, size = rows[fits], size[fits]
-            # ascending (size, bitmask): size, then the highest position down
-            for row in np.lexsort((*rows.T, size)):
+            # ascending (size, bitmask): bytes from the highest position down
+            masks = rows[:, ::-1].copy().view("S%d" % (width + 1))[:, 0]
+            for row in np.lexsort((masks, size)):
                 members = rows[row].nonzero()[0].tolist()
                 key = len(members), members[::-1]
                 if best is not None and key >= best[0]:
@@ -666,6 +663,9 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     """
     _require_tight(phi.entries, tol)
     n, entries = phi.n, phi.entries
+    live = tuple(np.flatnonzero(np.any(entries, axis=0)).tolist())
+    if len(live) < 2 * n:
+        return [(len(live),)]  # prime unsearched, as in _first_divisor
     _check_budget(n, force, _kernel_rows(phi.m, range(n, phi.m - n + 1)))
     coords = _coordinates(entries)
     memo = {}
@@ -690,8 +690,7 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
         memo[rem] = out
         return out
 
-    return sorted(solve(tuple(np.flatnonzero(np.any(entries, axis=0))
-                              .tolist())))
+    return sorted(solve(live))
 
 
 def tight_subsets(phi: FrameMatrix, size: int, tol: float = DEFAULT_TOL,

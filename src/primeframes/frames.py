@@ -125,12 +125,13 @@ def _bound_and_residual(entries: np.ndarray) -> tuple[float, float]:
     s = entries @ entries.conj().T
     n = s.shape[0]
     bound = float(s.trace().real) / n
-    s_norm = float(np.linalg.norm(s))
+    flat = s.ravel()  # Frobenius norms as np.linalg.norm computes them
+    re, im = flat.real, flat.imag
+    s_norm = math.sqrt(re.dot(re) + im.dot(im))
     if s_norm == 0.0:
         return 0.0, 0.0
-    s = s.copy()
-    s.flat[:: n + 1] -= bound
-    return bound, float(np.linalg.norm(s)) / s_norm
+    flat[:: n + 1] -= bound
+    return bound, math.sqrt(re.dot(re) + im.dot(im)) / s_norm
 
 
 def frame_operator(phi: FrameMatrix) -> np.ndarray:

@@ -273,8 +273,10 @@ def test_frames_of_fewer_than_2n_columns_are_not_searched(monkeypatch):
     assert is_prime_bruteforce(eye)
     assert find_divisor(eye) is None
     assert prime_factorization(eye).factors == (tuple(range(1, 29)),)
+    assert prime_factor_size_multisets(eye) == [(28,)]
     pair = FrameMatrix.from_array(np.hstack([np.eye(27)] * 2))
-    for call in (is_prime_bruteforce, find_divisor, prime_factorization):
+    for call in (is_prime_bruteforce, find_divisor, prime_factorization,
+                 prime_factor_size_multisets):
         with pytest.raises(SearchCapError, match=": 27 dimensions"):
             call(pair)
 
@@ -491,21 +493,25 @@ def test_kernel_agrees_at_the_tolerance_boundary():
         assert verdicts == ([False, True] if which else [True, False])
 
 
-def test_certificate_past_the_first_chunk():
-    # a prime 4-frame and a prime 6-frame of R^3, with the 4-part on
-    # columns 1, 8, 9, 10: its colex rank among the size-4 subsets holding
-    # column 1 is C(6, 1) + C(7, 2) + C(8, 3) = 83
+def test_certificate_past_the_first_chunk(monkeypatch):
+    # a prime 4-frame and a prime 10-frame of R^3, with the 4-part on
+    # columns 1, 12, 13, 14: the 13 columns besides column 1 are more than
+    # a table holds, so the kernel unranks chunks, and the part's colex
+    # rank among the size-4 subsets holding column 1 is C(10, 1) +
+    # C(11, 2) + C(12, 3) = 285
     left = random_tight_frame(3, 4, 1).entries
-    right = random_tight_frame(3, 6, 2).entries
+    right = random_tight_frame(3, 10, 2).entries
     entries = np.hstack([left[:, :1], right, left[:, 1:]])
     phi = FrameMatrix(entries, "real")
-    assert comb(6, 1) + comb(7, 2) + comb(8, 3) > _FIRST_CHUNK
+    assert phi.m - 1 > divisibility._TABLE_WIDTH
+    assert comb(10, 1) + comb(11, 2) + comb(12, 3) > _FIRST_CHUNK
+    kernel_only(monkeypatch)
     cert = find_divisor(phi)
-    assert cert.subset == (1, 8, 9, 10)
+    assert cert.subset == (1, 12, 13, 14)
     assert cert == reference_find_divisor(phi, 1e-9)
     fact = prime_factorization(phi)
-    assert fact.factors == ((1, 8, 9, 10), (2, 3, 4, 5, 6, 7))
-    assert prime_factor_size_multisets(phi) == [(4, 6)]
+    assert fact.factors == ((1, 12, 13, 14), tuple(range(2, 12)))
+    assert prime_factor_size_multisets(phi) == [(4, 10)]
 
 
 def peak_memory(call):
@@ -987,28 +993,36 @@ def test_divisor_rich_frames_stay_fast(monkeypatch):
 
 
 def test_size_class_tables_match_unranking(monkeypatch):
+    # the table of a pool holds its size classes one after another, each
+    # in the order unranking gives
     limit = divisibility._TABLE_WIDTH
+    divisibility._subset_table.cache_clear()
+    divisibility._bit_columns.cache_clear()
     for width in range(limit + 1):
-        ranks = divisibility._binomials(width)
-        for k in range(width + 1):
-            members, picks = divisibility._size_class_table(width, k)
-            total = comb(width, k)
-            expected = divisibility._unrank(
-                np.arange(total, dtype=np.int64), k, ranks)
-            assert np.array_equal(members, expected)
-            assert picks.shape == (total, width)
-            assert np.array_equal(
-                picks, [[float(c in row) for c in range(width)]
-                        for row in expected.T.tolist()])
-            for table in (members, picks):
-                assert not table.flags.writeable
-                with pytest.raises(ValueError):
-                    table[...] = 0
-    # slices of the tables and unranked chunks are the same subsets
-    sliced = divisibility._size_class(limit, 5, 100, 300)
-    unranked = divisibility._size_class(limit + 1, 5, 100, 300)
-    assert np.array_equal(sliced[0], unranked[0])
-    assert np.array_equal(sliced[1], unranked[1][:, :limit])
+        table, starts = divisibility._subset_table(width)
+        expected = [divisibility._unrank(width, k, 0, comb(width, k))
+                    for k in range(width + 1)]
+        assert table.shape == (2 ** width, width)
+        assert np.array_equal(table, np.concatenate(expected))
+        assert starts == tuple(sum(map(len, expected[:k]))
+                               for k in range(width + 2))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0
+    # only the tables stay in memory, about 0.7 MB for all widths
+    assert divisibility._bit_columns.cache_info().currsize == 0
+    assert sum(divisibility._subset_table(width)[0].nbytes
+               for width in range(limit + 1)) < 750_000
+    assert list(divisibility._subset_blocks(limit, (), 0)) == []
+    # table blocks and unranked chunks are the same subsets
+    for sizes, lead in (((5,), 0), ((3, 4, 5, 9), 1), ((4, 8), 0)):
+        sliced = list(divisibility._subset_blocks(limit, sizes, lead))
+        assert len(sliced) == 2 - (len(sizes) == 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(divisibility, "_TABLE_WIDTH", -1)
+            unranked = list(divisibility._subset_blocks(limit, sizes, lead))
+        assert np.array_equal(np.concatenate(sliced),
+                              np.concatenate(unranked))
     # tight_subsets gives the same lists with every pool unranked
     frames = [htf(HtfParams(2, 12)), htf(HtfParams(3, 12)), stf(3, 10),
               FrameMatrix.from_array(np.hstack([np.eye(2)] * 6)),
@@ -1020,3 +1034,49 @@ def test_size_class_tables_match_unranking(monkeypatch):
     assert sum(map(len, with_tables)) > 1000
     monkeypatch.setattr(divisibility, "_TABLE_WIDTH", -1)
     assert with_tables == [tight_subsets(phi, size) for phi, size in cases]
+
+
+def test_one_pass_kernel_matches_unranked_chunks(monkeypatch):
+    # pools of 0 .. _TABLE_WIDTH columns, pinned or not, over contiguous
+    # sizes, a size with its complement and single sizes: one pass over
+    # the table yields what unranked chunks yield, in the same order
+    limit = divisibility._TABLE_WIDTH
+    frames = [planted_split(2, 6, 7, 1),
+              FrameMatrix.from_array(np.hstack([np.eye(2)] * 7)[:, 1:])]
+    cases = []
+    for phi in frames:
+        coords = _coordinates(phi.entries)
+        assert phi.m == limit + 1
+        for width in range(limit + 1):
+            for pinned in (False, True):
+                m = width + pinned
+                third, half = max(pinned, m // 3), max(pinned, m // 2)
+                for sizes in (range(pinned, m + 1), range(2, m - 1),
+                              sorted({s for s in (third, m - third)
+                                      if s >= pinned}), [half]):
+                    for bound in (np.inf, check_tight(phi).bound):
+                        cases.append((phi.entries, coords,
+                                      range(phi.m - m, phi.m), sizes, pinned,
+                                      bound))
+
+    def run():
+        return [list(divisibility._tight_parts(*case, 1e-9))
+                for case in cases]
+
+    with_tables = run()
+    assert sum(map(len, with_tables)) > 1000
+    monkeypatch.setattr(divisibility, "_TABLE_WIDTH", -1)
+    assert with_tables == run()
+
+
+def test_binomials_match_comb():
+    # Pascal's rule gives min(C(c, j), _RANK_LIMIT) for every width, below
+    # and at saturation (C(66, 33) > 2^62 > C(65, 32))
+    limit = divisibility._RANK_LIMIT
+    assert comb(66, 33) > limit > comb(65, 32)
+    for width in list(range(71)) + [200]:
+        table = divisibility._binomials(width)
+        assert table.dtype == np.int64 and table.shape == (width + 1, width)
+        assert table.tolist() == [[min(comb(c, j), limit)
+                                   for c in range(width)]
+                                  for j in range(width + 1)]

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import hexagon_frame, mercedes_frame, random_unitary
 from primeframes import (EquivalenceData, FrameMatrix, NotTightError,
@@ -12,6 +14,7 @@ from primeframes import (EquivalenceData, FrameMatrix, NotTightError,
                          InfeasibleError, is_prime_bruteforce,
                          prime_parseval_extension, random_tight_frame, stf,
                          verify_reconstruction, welch_bound)
+from primeframes.frames import _bound_and_residual
 
 
 def test_frame_matrix_validation():
@@ -263,3 +266,39 @@ def test_dft_row_frame_values():
     assert is_prime_bruteforce(d)
     with pytest.raises(InfeasibleError):
         dft_row_frame(2, 4)
+
+
+def norm_bound_and_residual(entries):
+    """The fitted bound and relative residual with np.linalg.norm."""
+    s = entries @ entries.conj().T
+    n = s.shape[0]
+    bound = float(s.trace().real) / n
+    s_norm = float(np.linalg.norm(s))
+    if s_norm == 0.0:
+        return 0.0, 0.0
+    s = s.copy()
+    s.flat[:: n + 1] -= bound
+    return bound, float(np.linalg.norm(s)) / s_norm
+
+
+# finite parts, with exact zeros of both signs among them
+parts = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def raw_matrices(draw):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    real = np.array(draw(st.lists(parts, min_size=n * m, max_size=n * m)))
+    if draw(st.booleans()):
+        return real.reshape(n, m)
+    imag = np.array(draw(st.lists(parts, min_size=n * m, max_size=n * m)))
+    return (real + 1j * imag).reshape(n, m)
+
+
+@given(raw_matrices())
+def test_bound_and_residual_match_the_norm_form(entries):
+    # the same bits as the np.linalg.norm form, on real and complex input
+    got = np.array(_bound_and_residual(entries))
+    assert got.tobytes() == np.array(
+        norm_bound_and_residual(entries)).tobytes()
