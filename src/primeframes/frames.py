@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, InfeasibleError, NotTightError
+from .numtheory import is_prime_int
 
 DEFAULT_TOL = 1e-9
 
@@ -302,8 +303,6 @@ def dft_row_frame(n: int, m: int) -> FrameMatrix:
     Prime m makes every proper subset of columns non-tight, so the result
     is a prime unit-norm tight frame with bound m/n.
     """
-    from .numtheory import is_prime_int
-
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
     if not is_prime_int(m):

@@ -42,8 +42,8 @@ class HtfParams:
     def __post_init__(self):
         if not 1 <= self.n <= self.m:
             raise ValueError("need 1 <= n <= m")
-        if not self.s > 0:
-            raise ValueError("s must be positive")
+        if not 0 < self.s < math.inf:
+            raise ValueError("s must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,17 @@ shared with row j+1, which starts the next row with 2 - r_j already
 spent.  The remainders r_j = frac(j m / n) vanish exactly on the rows in
 ``reset_rows``, where the budget starts fresh.  All bookkeeping is exact
 rational arithmetic; floats appear only in the assembled matrix.
+
+Every verdict is integer arithmetic on g = gcd(m, n).  Row j's budget
+is lambda when r_{j-1} = 0 and lambda - 2 + r_{j-1} otherwise, and the
+nonzero r_{j-1} run over all multiples of g/n below 1.  So unless n | m
+(every row a reset, keeping m/n >= 2 ones), the fewest fully supported
+columns in a row is floor((m - 2n + g)/n).  That is >= 1 iff m >= 3n or
+3n - m <= g, and since g = gcd(3n - m, n) divides 3n - m, the latter
+means 3n - m = g, that is (3n - m) | n.  Hence the frame is divisible
+iff m >= 3n or (3n - m) | n; the low-redundancy frame on n < m~ < 2n,
+the (n, m~ + n) frame less one basis, exists iff (2n - m~) | n; and
+``stf_factorize`` peels (m - 2n + g) // n orthonormal bases.
 """
 
 from __future__ import annotations
@@ -77,12 +88,11 @@ def _schedule_seqs(n: int, m: int):
     lam = Fraction(m, n)
     g = math.gcd(n, m)
     reset = tuple(t * (n // g) for t in range(g + 1))
-    reset_set = set(reset)
     ones = []
     remainders = []
     r_prev = Fraction(0)
     for j in range(1, n + 1):
-        budget = lam if (j - 1) in reset_set else lam - 2 + r_prev
+        budget = lam if r_prev == 0 else lam - 2 + r_prev
         if budget < 0:
             raise InfeasibleError(
                 "row %d of a %d x %d tetris frame has negative budget; "
@@ -106,7 +116,7 @@ def stf_schedule(n: int, m: int) -> TetrisSchedule:
 
 
 def _assemble(n: int, m: int, ones, remainders):
-    """Build the matrix; also return the 1-based e_j column positions per row."""
+    """Build the frame; also return the 1-based e_j column positions per row."""
     out = np.zeros((n, m))
     ones_pos = [[] for _ in range(n)]
     col = 0
@@ -126,46 +136,36 @@ def _assemble(n: int, m: int, ones, remainders):
             col += 2
     if col != m:
         raise FrameError("assembled %d columns, expected %d" % (col, m))
-    return out, [tuple(p) for p in ones_pos]
+    return FrameMatrix(out, "real"), [tuple(p) for p in ones_pos]
 
 
 def stf(n: int, m: int) -> FrameMatrix:
     """The sparse unit-norm tight frame with bound m/n, for m >= 2n."""
     sched = stf_schedule(n, m)
-    out, _ = _assemble(n, m, sched.ones_per_row, sched.remainders)
-    return FrameMatrix(out.astype(np.complex128), "real")
-
-
-def _divisibility_condition(n: int, m: int) -> bool:
-    """Exact job-scheduling condition: j m/n - floor((j-1) m/n) >= 3 for
-    1 < j < n / gcd(n, m); vacuously true when that range is empty."""
-    g = math.gcd(n, m)
-    for j in range(2, n // g):
-        if Fraction(j * m, n) - ((j - 1) * m) // n < 3:
-            return False
-    return True
+    return _assemble(n, m, sched.ones_per_row, sched.remainders)[0]
 
 
 def stf_is_divisible(n: int, m: int) -> bool:
     """Whether the tetris frame on (n, m), m >= 2n, has a tight proper subset.
 
     Equivalent to every row keeping at least one fully supported column,
-    i.e. min ones_per_row >= 1.
+    i.e. min ones_per_row >= 1, which holds iff m >= 3n or (3n - m) | n.
     """
     if n < 1 or m < 2 * n:
         raise ValueError("need n >= 1 and m >= 2n")
-    return _divisibility_condition(n, m)
+    return m >= 3 * n or n % (3 * n - m) == 0
 
 
 def stf_low_redundancy_feasible(n: int, m_tilde: int) -> bool:
     """Whether the row-by-row construction extends to n < m < 2n.
 
     Exactly when the (n, m_tilde + n) frame is divisible: peeling one
-    orthonormal basis out of it leaves the low-redundancy frame.
+    orthonormal basis out of it leaves the low-redundancy frame.  That
+    is, iff (2n - m_tilde) | n.
     """
     if not n < m_tilde < 2 * n:
         raise ValueError("need n < m_tilde < 2n")
-    return _divisibility_condition(n, m_tilde + n)
+    return stf_is_divisible(n, m_tilde + n)
 
 
 def stf_low_redundancy(n: int, m_tilde: int) -> FrameMatrix:
@@ -177,8 +177,7 @@ def stf_low_redundancy(n: int, m_tilde: int) -> FrameMatrix:
     if not n < m_tilde < 2 * n:
         raise ValueError("need n < m_tilde < 2n")
     _, _, ones, remainders = _schedule_seqs(n, m_tilde)
-    out, _ = _assemble(n, m_tilde, ones, remainders)
-    return FrameMatrix(out.astype(np.complex128), "real")
+    return _assemble(n, m_tilde, ones, remainders)[0]
 
 
 def stf_factorize(n: int, m: int) -> StfFactorization:
@@ -189,21 +188,20 @@ def stf_factorize(n: int, m: int) -> StfFactorization:
     preserved), the number of copies peeled, and the 1-based index sets:
     ``core_indices`` ascending, ``basis_indices`` one tuple per copy.
     The core equals the tetris frame on (n, m - copies * n) up to column
-    order.
+    order.  A copy is peeled while the rest has at least 2n vectors and
+    every row of it keeps a fully supported column, which gives
+    copies = (m - 2n + gcd(m, n)) // n.
     """
     sched = stf_schedule(n, m)
-    matrix, ones_pos = _assemble(n, m, sched.ones_per_row, sched.remainders)
-    min_ones = min(sched.ones_per_row)
-    copies = 0
-    while m - copies * n >= 2 * n and min_ones - copies >= 1:
-        copies += 1
+    frame, ones_pos = _assemble(n, m, sched.ones_per_row, sched.remainders)
+    copies = (m - 2 * n + math.gcd(m, n)) // n
     basis_indices = tuple(
         tuple(ones_pos[j][l] for j in range(n)) for l in range(copies))
     peeled = set()
     for idx in basis_indices:
         peeled.update(idx)
     core_indices = tuple(i for i in range(1, m + 1) if i not in peeled)
-    core = FrameMatrix(matrix[:, [i - 1 for i in core_indices]], "real")
+    core = frame.submatrix(core_indices)
     _verify_core_prime(n, core)
     return StfFactorization(core, copies, core_indices, basis_indices)
 

@@ -94,6 +94,15 @@ def test_stf_infeasible_shape_fails(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_htf_infinite_s_is_one_error_line():
+    # s = inf must be refused before any entry is computed, so that no
+    # numpy warning reaches stderr ahead of the error line
+    proc = run_subprocess([sys.executable, "-m", "primeframes", "htf",
+                           "--n", "2", "--m", "3", "--s", "inf"])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: s must be positive and finite\n"
+
+
 def test_random_is_deterministic(capsys):
     args = ["random", "--n", "3", "--m", "8", "--seed", "5"]
     code1, out1, _ = run_cli(capsys, args)

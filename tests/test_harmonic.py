@@ -40,6 +40,8 @@ def test_htf_params_validation():
         HtfParams(2, 4, 0.0)
     with pytest.raises(ValueError):
         HtfParams(2, 4, -1.0)
+    with pytest.raises(ValueError):
+        HtfParams(2, 4, math.inf)
 
 
 def test_htf_matrix_values():

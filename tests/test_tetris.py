@@ -21,11 +21,6 @@ STF_4_11 = np.array([
 ])
 
 
-def closed_form_low_redundancy(n, m_tilde):
-    d = 2 * n - m_tilde
-    return m_tilde >= 2 * n - 1 or (n % d == 0 and m_tilde % d == 0)
-
-
 def test_schedule_4_11():
     sched = stf_schedule(4, 11)
     assert sched.lam == Fraction(11, 4)
@@ -86,10 +81,11 @@ def test_stf_is_divisible_known_values():
 
 
 def test_divisibility_equals_every_row_keeping_a_one():
-    for n in range(1, 7):
-        for m in range(2 * n, 3 * n + 8):
+    for n in range(1, 41):
+        for m in range(2 * n, 4 * n + 3):
             sched = stf_schedule(n, m)
-            assert stf_is_divisible(n, m) == (min(sched.ones_per_row) >= 1)
+            assert (stf_is_divisible(n, m)
+                    == (min(sched.ones_per_row) >= 1)), (n, m)
 
 
 def test_divisibility_matches_bruteforce():
@@ -115,10 +111,17 @@ def test_low_redundancy_feasible_known_values():
 
 
 def test_low_redundancy_matches_closed_form():
-    for n in range(2, 17):
+    # the closed form must say exactly when the row-by-row construction
+    # runs through without a negative budget
+    for n in range(2, 41):
         for m_tilde in range(n + 1, 2 * n):
-            assert (stf_low_redundancy_feasible(n, m_tilde)
-                    == closed_form_low_redundancy(n, m_tilde)), (n, m_tilde)
+            if stf_low_redundancy_feasible(n, m_tilde):
+                rep = check_tight(stf_low_redundancy(n, m_tilde), 1e-12)
+                assert rep.is_tight, (n, m_tilde)
+                assert abs(rep.bound - m_tilde / n) < 1e-12
+            else:
+                with pytest.raises(InfeasibleError):
+                    stf_low_redundancy(n, m_tilde)
 
 
 def test_low_redundancy_construction():
@@ -158,6 +161,19 @@ def test_factorize_peels_all_spare_bases():
     fact = stf_factorize(5, 11)
     assert fact.basis_copies == 0
     assert fact.core_indices == tuple(range(1, 12))
+
+
+def test_factorize_copies_match_peeling_the_schedule():
+    # peel one basis at a time: the tetris frame on (n, rest) less one
+    # basis is the one on (n, rest - n) up to column order, and a basis
+    # comes off while the rest has 2n vectors and a one in every row
+    for n in range(1, 7):
+        for m in range(2 * n, 4 * n + 3):
+            rest = m
+            while (rest >= 2 * n
+                   and min(stf_schedule(n, rest).ones_per_row) >= 1):
+                rest -= n
+            assert stf_factorize(n, m).basis_copies == (m - rest) // n, (n, m)
 
 
 def test_factorize_pieces_partition_and_verify():
