@@ -618,10 +618,15 @@ def prime_factorization(phi: FrameMatrix, tol: float = DEFAULT_TOL,
                         force: bool = False) -> PrimeFactorization:
     """Greedy partition of a tight frame into prime tight sub-frames.
 
-    Splits off the first divisor found and recurses on both halves, so
-    the result is deterministic.  Columns that are exactly zero never
-    affect tightness; they are set aside and attached to the final
-    factor.  The factor count never exceeds floor(m / n).
+    Splits off the first divisor found as a factor and repeats on the
+    rest, so the result is deterministic.  The first divisor J is prime:
+    a divisor J' of J holds column cols[0], has a size in [n, |J| - n]
+    and a bound in (tol, A_J - tol), inside (tol, A - tol), and the exact
+    rule gives it the same residual in either search, so the search of
+    the parent, by size ascending, would have accepted J' before J.
+    Columns that are exactly zero never affect tightness; they are set
+    aside and attached to the final factor.  The factor count never
+    exceeds floor(m / n).
     """
     entries = phi.entries
     live = np.any(entries, axis=0)
@@ -635,19 +640,18 @@ def prime_factorization(phi: FrameMatrix, tol: float = DEFAULT_TOL,
         coords = _coordinates(entries) if coords is None else coords
         return coords
 
-    def split(cols, bound):
-        """Factor the frame on ``cols``, whose bound is ``bound`` and which
-        was checked tight above or by the search that split it off."""
+    # the frame on cols, of bound ``bound``, was checked tight above or
+    # by the search that split it off
+    while True:
         found = _first_divisor(entries, cols, bound, tol, force, coordinates)
         if found is None:
-            factors.append(tuple(i + 1 for i in cols))
-            bounds.append(bound)
-            return
-        part, part_bound, rest_bound = found
-        split(part, part_bound)
-        split(_rest(cols, part), rest_bound)
-
-    split(cols, bound)
+            break
+        part, part_bound, bound = found
+        factors.append(tuple(i + 1 for i in part))
+        bounds.append(part_bound)
+        cols = _rest(cols, part)
+    factors.append(tuple(i + 1 for i in cols))
+    bounds.append(bound)
     if zero:
         factors[-1] = tuple(sorted(factors[-1] + zero))
     return PrimeFactorization(tuple(factors), tuple(bounds))
@@ -679,10 +683,12 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
         for part, part_bound in _tight_parts(
                 entries, coords, rem, range(n, len(rem) - n + 1), True,
                 parent_bound, tol):
-            divisible = True
-            if _first_divisor(entries, part, part_bound, tol, force,
-                              lambda entries: coords) is not None:
+            # the first part is the first divisor of rem, so prime
+            if divisible and _first_divisor(
+                    entries, part, part_bound, tol, force,
+                    lambda entries: coords) is not None:
                 continue
+            divisible = True
             for sizes in solve(tuple(_rest(rem, part))):
                 out.add(tuple(sorted(sizes + (len(part),))))
         if not divisible:

@@ -11,7 +11,10 @@ r_j is left over, on one 2 x 2 block
 shared with row j+1, which starts the next row with 2 - r_j already
 spent.  The remainders r_j = frac(j m / n) vanish exactly on the rows in
 ``reset_rows``, where the budget starts fresh.  All bookkeeping is exact
-rational arithmetic; floats appear only in the assembled matrix.
+integer arithmetic on the numerators R_j = n r_j: divmod of a row
+budget's numerator by n gives its ones and R_j.  Floats appear only in
+the assembled matrix, as a = sqrt(R_j / 2n) and b = sqrt((2n - R_j) / 2n),
+each quotient correctly rounded.
 
 Every verdict is integer arithmetic on g = gcd(m, n).  Row j's budget
 is lambda when r_{j-1} = 0 and lambda - 2 + r_{j-1} otherwise, and the
@@ -79,70 +82,70 @@ class StfFactorization(NamedTuple):
     basis_indices: tuple
 
 
+def _check_standard(n: int, m: int):
+    if n < 1 or m < 2 * n:
+        raise ValueError("need n >= 1 and m >= 2n")
+
+
 def _schedule_seqs(n: int, m: int):
-    """The (ones, remainders, reset_rows) sequences, exact.
+    """The ones per row and the remainder numerators R_j = n r_j, as lists.
 
     Raises InfeasibleError when a row budget goes negative, which can
     happen only for m < 2n.
     """
-    lam = Fraction(m, n)
-    g = math.gcd(n, m)
-    reset = tuple(t * (n // g) for t in range(g + 1))
-    ones = []
-    remainders = []
-    r_prev = Fraction(0)
+    ones, rems = [], []
+    rem = 0
     for j in range(1, n + 1):
-        budget = lam if r_prev == 0 else lam - 2 + r_prev
+        budget = m if rem == 0 else m - 2 * n + rem
         if budget < 0:
             raise InfeasibleError(
                 "row %d of a %d x %d tetris frame has negative budget; "
                 "no such frame exists" % (j, n, m))
-        count = int(budget)
+        count, rem = divmod(budget, n)
         ones.append(count)
-        r_prev = budget - count
-        remainders.append(r_prev)
-    return lam, reset, tuple(ones), tuple(remainders)
+        rems.append(rem)
+    return ones, rems
 
 
 def stf_schedule(n: int, m: int) -> TetrisSchedule:
     """Schedule for the standard (redundancy >= 2) construction."""
-    if n < 1 or m < 2 * n:
-        raise ValueError("need n >= 1 and m >= 2n")
-    lam, reset, ones, remainders = _schedule_seqs(n, m)
-    blocks = sum(1 for j in range(1, n) if remainders[j - 1] != 0)
+    _check_standard(n, m)
+    ones, rems = _schedule_seqs(n, m)
+    blocks = sum(1 for rem in rems[:-1] if rem)
     if sum(ones) + 2 * blocks != m:
         raise FrameError("schedule bookkeeping does not add up to m")
-    return TetrisSchedule(n, m, lam, reset, ones, remainders)
+    g = math.gcd(n, m)
+    return TetrisSchedule(n, m, Fraction(m, n),
+                          tuple(t * (n // g) for t in range(g + 1)),
+                          tuple(ones), tuple(Fraction(r, n) for r in rems))
 
 
-def _assemble(n: int, m: int, ones, remainders):
-    """Build the frame; also return the 1-based e_j column positions per row."""
+def _assemble(n: int, m: int):
+    """Build the frame; also return the 1-based e_j column positions of
+    each row, as a range."""
+    ones, rems = _schedule_seqs(n, m)
     out = np.zeros((n, m))
-    ones_pos = [[] for _ in range(n)]
+    ones_pos = []
     col = 0
     for j in range(n):
-        for _ in range(ones[j]):
-            out[j, col] = 1.0
-            ones_pos[j].append(col + 1)
-            col += 1
-        r = remainders[j]
-        if j < n - 1 and r != 0:
-            a = math.sqrt(r / 2)
-            b = math.sqrt(1 - r / 2)
-            out[j, col] = a
-            out[j, col + 1] = a
-            out[j + 1, col] = b
-            out[j + 1, col + 1] = -b
+        end = col + ones[j]
+        out[j, col:end] = 1.0
+        ones_pos.append(range(col + 1, end + 1))
+        col = end
+        if j < n - 1 and rems[j]:
+            out[j, col:col + 2] = math.sqrt(rems[j] / (2 * n))
+            b = math.sqrt((2 * n - rems[j]) / (2 * n))
+            out[j + 1, col:col + 2] = b, -b
             col += 2
     if col != m:
         raise FrameError("assembled %d columns, expected %d" % (col, m))
-    return FrameMatrix(out, "real"), [tuple(p) for p in ones_pos]
+    return FrameMatrix(out, "real"), ones_pos
 
 
 def stf(n: int, m: int) -> FrameMatrix:
     """The sparse unit-norm tight frame with bound m/n, for m >= 2n."""
-    sched = stf_schedule(n, m)
-    return _assemble(n, m, sched.ones_per_row, sched.remainders)[0]
+    _check_standard(n, m)
+    return _assemble(n, m)[0]
 
 
 def stf_is_divisible(n: int, m: int) -> bool:
@@ -151,8 +154,7 @@ def stf_is_divisible(n: int, m: int) -> bool:
     Equivalent to every row keeping at least one fully supported column,
     i.e. min ones_per_row >= 1, which holds iff m >= 3n or (3n - m) | n.
     """
-    if n < 1 or m < 2 * n:
-        raise ValueError("need n >= 1 and m >= 2n")
+    _check_standard(n, m)
     return m >= 3 * n or n % (3 * n - m) == 0
 
 
@@ -176,8 +178,7 @@ def stf_low_redundancy(n: int, m_tilde: int) -> FrameMatrix:
     """
     if not n < m_tilde < 2 * n:
         raise ValueError("need n < m_tilde < 2n")
-    _, _, ones, remainders = _schedule_seqs(n, m_tilde)
-    return _assemble(n, m_tilde, ones, remainders)[0]
+    return _assemble(n, m_tilde)[0]
 
 
 def stf_factorize(n: int, m: int) -> StfFactorization:
@@ -192,8 +193,8 @@ def stf_factorize(n: int, m: int) -> StfFactorization:
     every row of it keeps a fully supported column, which gives
     copies = (m - 2n + gcd(m, n)) // n.
     """
-    sched = stf_schedule(n, m)
-    frame, ones_pos = _assemble(n, m, sched.ones_per_row, sched.remainders)
+    _check_standard(n, m)
+    frame, ones_pos = _assemble(n, m)
     copies = (m - 2 * n + math.gcd(m, n)) // n
     basis_indices = tuple(
         tuple(ones_pos[j][l] for j in range(n)) for l in range(copies))
@@ -201,7 +202,7 @@ def stf_factorize(n: int, m: int) -> StfFactorization:
     for idx in basis_indices:
         peeled.update(idx)
     core_indices = tuple(i for i in range(1, m + 1) if i not in peeled)
-    core = frame.submatrix(core_indices)
+    core = FrameMatrix(frame.entries[:, np.subtract(core_indices, 1)], "real")
     _verify_core_prime(n, core)
     return StfFactorization(core, copies, core_indices, basis_indices)
 

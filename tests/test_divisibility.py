@@ -946,6 +946,104 @@ def test_certificates_match_the_kernel(phi):
             assert got == outcomes(tol)
 
 
+# --- the first divisor is prime ---------------------------------------------
+
+def basis_stacks():
+    """Copies of the standard basis, a frame with a divisor of every
+    multiple of n."""
+    return [FrameMatrix.from_array(np.hstack([np.eye(n)] * copies))
+            for n in (1, 2, 3, 4) for copies in range(2, 16 // n + 1)]
+
+
+def check_first_part_is_prime(phi, tol):
+    cert = find_divisor(phi, tol=tol)
+    if cert is not None:
+        assert is_prime_bruteforce(phi.submatrix(cert.subset), tol,
+                                   force=True)
+
+
+@given(divisible_frames())
+def test_first_divisor_is_prime(phi):
+    for tol in EQUIVALENCE_TOLS:
+        check_first_part_is_prime(phi, tol)
+
+
+@pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
+def test_first_divisor_of_basis_stacks_is_prime(tol):
+    for phi in basis_stacks():
+        check_first_part_is_prime(phi, tol)
+
+
+def both_halves_factorization(phi, tol):
+    """Greedy splitting that searches both halves of every split, so it
+    does not lean on the first divisor being prime."""
+    entries = phi.entries
+    live = np.any(entries, axis=0)
+    factors, bounds = [], []
+
+    def split(cols, bound):
+        found = divisibility._first_divisor(entries, cols, bound, tol, False)
+        if found is None:
+            factors.append(tuple(i + 1 for i in cols))
+            bounds.append(bound)
+            return
+        part, part_bound, rest_bound = found
+        split(part, part_bound)
+        split([i for i in cols if i not in part], rest_bound)
+
+    cols = np.flatnonzero(live).tolist()
+    split(cols, _bound_and_residual(entries[:, cols])[0])
+    zero = tuple(int(i) + 1 for i in np.flatnonzero(~live))
+    if zero:
+        factors[-1] = tuple(sorted(factors[-1] + zero))
+    return PrimeFactorization(tuple(factors), tuple(bounds))
+
+
+def every_part_multisets(phi, tol):
+    """The factor-size census with a primality search of every part."""
+    entries, n = phi.entries, phi.n
+    coords = _coordinates(entries)
+    memo = {}
+
+    def solve(rem):
+        if rem not in memo:
+            bound = _bound_and_residual(entries[:, rem])[0]
+            parts = list(divisibility._tight_parts(
+                entries, coords, rem, range(n, len(rem) - n + 1), True,
+                bound, tol))
+            memo[rem] = {(len(rem),)} if not parts else {
+                tuple(sorted(sizes + (len(part),)))
+                for part, part_bound in parts
+                if divisibility._first_divisor(entries, part, part_bound,
+                                               tol, False) is None
+                for sizes in solve(tuple(i for i in rem if i not in part))}
+        return memo[rem]
+
+    live = tuple(np.flatnonzero(np.any(entries, axis=0)).tolist())
+    return sorted(solve(live))
+
+
+def check_both_halves(phi, tol):
+    assert (prime_factorization(phi, tol)
+            == both_halves_factorization(phi, tol))
+    if phi.m <= 10:
+        assert (prime_factor_size_multisets(phi, tol)
+                == every_part_multisets(phi, tol))
+
+
+@given(divisible_frames())
+def test_factorizations_match_searching_both_halves(phi):
+    for tol in EQUIVALENCE_TOLS:
+        check_both_halves(phi, tol)
+
+
+@pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
+def test_suite_factorizations_match_searching_both_halves(tol):
+    for phi in (equivalence_frames() + basis_stacks()
+                + [hexagon_frame(), mercedes_frame()]):
+        check_both_halves(phi, tol)
+
+
 # --- closed forms against the search ---------------------------------------
 
 @given(st.integers(2, 5).flatmap(

@@ -1,14 +1,17 @@
+import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import columns_as_multiset
-from primeframes import (InfeasibleError, check_tight, is_prime_bruteforce,
-                         stf, stf_factorize, stf_is_divisible,
-                         stf_low_redundancy, stf_low_redundancy_feasible,
-                         stf_schedule)
+from primeframes import (FrameMatrix, InfeasibleError, TetrisSchedule,
+                         check_tight, is_prime_bruteforce, stf, stf_factorize,
+                         stf_is_divisible, stf_low_redundancy,
+                         stf_low_redundancy_feasible, stf_schedule)
+from primeframes import tetris
 
 # The 4 x 11 instance, assembled by hand from the row-budget recurrence.
 STF_4_11 = np.array([
@@ -203,3 +206,115 @@ def test_factorize_pieces_partition_and_verify():
         else:
             assert (columns_as_multiset(core.entries, 12)
                     == columns_as_multiset(np.eye(n), 12))
+
+
+# --- the integer bookkeeping against a Fraction oracle ----------------------
+
+def fraction_schedule(n, m):
+    """(lam, reset_rows, ones, remainders) by exact rational budgets."""
+    lam = Fraction(m, n)
+    g = math.gcd(n, m)
+    reset = tuple(t * (n // g) for t in range(g + 1))
+    ones = []
+    remainders = []
+    r_prev = Fraction(0)
+    for j in range(1, n + 1):
+        budget = lam if r_prev == 0 else lam - 2 + r_prev
+        if budget < 0:
+            raise InfeasibleError(
+                "row %d of a %d x %d tetris frame has negative budget; "
+                "no such frame exists" % (j, n, m))
+        count = int(budget)
+        ones.append(count)
+        r_prev = budget - count
+        remainders.append(r_prev)
+    return lam, reset, tuple(ones), tuple(remainders)
+
+
+def fraction_assemble(n, m):
+    """The frame column by column from the rational remainders, and the
+    1-based e_j column positions per row."""
+    _, _, ones, remainders = fraction_schedule(n, m)
+    out = np.zeros((n, m))
+    ones_pos = [[] for _ in range(n)]
+    col = 0
+    for j in range(n):
+        for _ in range(ones[j]):
+            out[j, col] = 1.0
+            ones_pos[j].append(col + 1)
+            col += 1
+        r = remainders[j]
+        if j < n - 1 and r != 0:
+            a = math.sqrt(r / 2)
+            b = math.sqrt(1 - r / 2)
+            out[j, col] = a
+            out[j, col + 1] = a
+            out[j + 1, col] = b
+            out[j + 1, col + 1] = -b
+            col += 2
+    assert col == m
+    return FrameMatrix(out, "real"), ones_pos
+
+
+def fraction_factorize(n, m):
+    frame, ones_pos = fraction_assemble(n, m)
+    copies = (m - 2 * n + math.gcd(m, n)) // n
+    basis_indices = tuple(
+        tuple(ones_pos[j][l] for j in range(n)) for l in range(copies))
+    peeled = {i for idx in basis_indices for i in idx}
+    core_indices = tuple(i for i in range(1, m + 1) if i not in peeled)
+    return frame.submatrix(core_indices), copies, core_indices, basis_indices
+
+
+def same_frame(phi, psi):
+    return (phi.field == psi.field and phi.entries.shape == psi.entries.shape
+            and phi.entries.tobytes() == psi.entries.tobytes())
+
+
+def test_integer_bookkeeping_matches_fraction_oracle(monkeypatch):
+    # the core's primality search takes seconds at n = 25 and is tested
+    # above; here each core it would be handed is recorded instead
+    verified = []
+    monkeypatch.setattr(tetris, "_verify_core_prime",
+                        lambda n, core: verified.append((n, core)))
+    # the shapes include (7, 30), where 1 - r/2 taken in floats is 1 ulp off
+    for n in range(1, 41):
+        for m in range(2 * n, 4 * n + 3):
+            frame = fraction_assemble(n, m)[0]
+            assert same_frame(stf(n, m), frame), (n, m)
+            lam, reset, ones, remainders = fraction_schedule(n, m)
+            sched = stf_schedule(n, m)
+            assert repr(sched) == repr(TetrisSchedule(
+                n, m, lam, reset, ones, remainders)), (n, m)
+            assert json.dumps(sched.to_json_obj()) == json.dumps(
+                TetrisSchedule(n, m, lam, reset, ones,
+                               remainders).to_json_obj())
+            core, copies, core_indices, basis_indices = (
+                fraction_factorize(n, m))
+            fact = stf_factorize(n, m)
+            assert same_frame(fact.prime_core, core), (n, m)
+            assert verified.pop()[1] is fact.prime_core
+            assert repr(fact[1:]) == repr((copies, core_indices,
+                                           basis_indices)), (n, m)
+        for m_tilde in range(n + 1, 2 * n):
+            try:
+                want = fraction_assemble(n, m_tilde)[0]
+            except InfeasibleError as exc:
+                with pytest.raises(InfeasibleError) as err:
+                    stf_low_redundancy(n, m_tilde)
+                assert str(err.value) == str(exc)
+            else:
+                assert same_frame(stf_low_redundancy(n, m_tilde), want)
+
+
+def test_stf_with_a_million_columns():
+    # one slice per row: the construction's Python work is O(n), not O(m)
+    n, m = 4, 10 ** 6 + 1
+    start = time.perf_counter()
+    phi = stf(n, m)
+    assert time.perf_counter() - start < 0.5
+    entries = phi.entries.real
+    assert np.count_nonzero(entries) == m + 2 * (n - 1)
+    assert np.max(np.abs(np.einsum("ij,ij->j", entries, entries) - 1.0)) < 1e-12
+    rep = check_tight(phi, 1e-12)
+    assert rep.is_tight and abs(rep.bound - m / n) < 1e-9
