@@ -406,6 +406,13 @@ def equivalence_frames():
     return out
 
 
+def basis_stacks():
+    """Copies of the standard basis, a frame with a divisor of every
+    multiple of n."""
+    return [FrameMatrix.from_array(np.hstack([np.eye(n)] * copies))
+            for n in (1, 2, 3, 4) for copies in range(2, 16 // n + 1)]
+
+
 @pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
 def test_kernel_find_divisor_matches_per_subset_loop(tol):
     for phi in equivalence_frames():
@@ -572,7 +579,8 @@ def reference_factorization(phi, tol):
 def test_factorization_bounds_match_fresh_evaluation(tol):
     # the bounds handed down from the search equal, bit for bit, the bound
     # of each factor's columns evaluated on their own
-    for phi in equivalence_frames() + [hexagon_frame(), mercedes_frame()]:
+    for phi in (equivalence_frames() + basis_stacks()
+                + [hexagon_frame(), mercedes_frame()]):
         assert (outcome(prime_factorization, phi, tol)
                 == outcome(reference_factorization, phi, tol))
 
@@ -948,13 +956,6 @@ def test_certificates_match_the_kernel(phi):
 
 # --- the first divisor is prime ---------------------------------------------
 
-def basis_stacks():
-    """Copies of the standard basis, a frame with a divisor of every
-    multiple of n."""
-    return [FrameMatrix.from_array(np.hstack([np.eye(n)] * copies))
-            for n in (1, 2, 3, 4) for copies in range(2, 16 // n + 1)]
-
-
 def check_first_part_is_prime(phi, tol):
     cert = find_divisor(phi, tol=tol)
     if cert is not None:
@@ -1023,25 +1024,14 @@ def every_part_multisets(phi, tol):
     return sorted(solve(live))
 
 
-def check_both_halves(phi, tol):
-    assert (prime_factorization(phi, tol)
-            == both_halves_factorization(phi, tol))
-    if phi.m <= 10:
-        assert (prime_factor_size_multisets(phi, tol)
-                == every_part_multisets(phi, tol))
-
-
 @given(divisible_frames())
 def test_factorizations_match_searching_both_halves(phi):
     for tol in EQUIVALENCE_TOLS:
-        check_both_halves(phi, tol)
-
-
-@pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
-def test_suite_factorizations_match_searching_both_halves(tol):
-    for phi in (equivalence_frames() + basis_stacks()
-                + [hexagon_frame(), mercedes_frame()]):
-        check_both_halves(phi, tol)
+        assert (prime_factorization(phi, tol)
+                == both_halves_factorization(phi, tol))
+        if phi.m <= 10:
+            assert (prime_factor_size_multisets(phi, tol)
+                    == every_part_multisets(phi, tol))
 
 
 # --- closed forms against the search ---------------------------------------
