@@ -90,6 +90,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -724,4 +725,7 @@ def robustness_counterexample_check(phi: FrameMatrix, p: int,
         raise ValueError("needs dimension n >= 2")
     if not phi.n <= p <= phi.m - phi.n:
         raise ValueError("p must lie in [n, m - n]")
-    return len(tight_subsets(phi, p, tol, force)) < comb(phi.m, p)
+    _check_budget(phi.n, force, _kernel_rows(phi.m, (p,), False))
+    # the rule of tight_subsets, stopped at the first subset it refuses
+    return any(_accepted(phi.entries, idx, np.inf, tol) is None
+               for idx in combinations(range(phi.m), p))

@@ -160,7 +160,7 @@ def is_balancing(m: int, k: int) -> bool:
     """
     if m < 1 or not 0 <= k <= m:
         raise ValueError("need m >= 1 and 0 <= k <= m")
-    primes = [p for p, _ in prime_power_factorization(m)] if m > 1 else []
+    primes = [p for p, _ in prime_power_factorization(m)]
     reach = reachable_sums(m, primes)
     return bool(reach[k] and reach[m - k])
 

@@ -7,18 +7,7 @@ import numpy as np
 
 def is_prime_int(k: int) -> bool:
     """Trial-division primality test for ordinary integers."""
-    if k < 2:
-        return False
-    if k < 4:
-        return True
-    if k % 2 == 0:
-        return False
-    d = 3
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 2
-    return True
+    return k >= 2 and prime_power_factorization(k) == [(k, 1)]
 
 
 def prime_power_factorization(k: int) -> list[tuple[int, int]]:

@@ -37,8 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divisibility import is_prime_bruteforce
-from .errors import FrameError, InfeasibleError, SearchCapError
+from .errors import FrameError, InfeasibleError
 from .frames import FrameMatrix
 
 
@@ -191,7 +190,9 @@ def stf_factorize(n: int, m: int) -> StfFactorization:
     The core equals the tetris frame on (n, m - copies * n) up to column
     order.  A copy is peeled while the rest has at least 2n vectors and
     every row of it keeps a fully supported column, which gives
-    copies = (m - 2n + gcd(m, n)) // n.
+    copies = (m - 2n + gcd(m, n)) // n.  The core is prime by that rule
+    (fewer than 2n vectors, or a tetris frame that is not divisible), so
+    no subset search runs.
     """
     _check_standard(n, m)
     frame, ones_pos = _assemble(n, m)
@@ -203,14 +204,4 @@ def stf_factorize(n: int, m: int) -> StfFactorization:
         peeled.update(idx)
     core_indices = tuple(i for i in range(1, m + 1) if i not in peeled)
     core = FrameMatrix(frame.entries[:, np.subtract(core_indices, 1)], "real")
-    _verify_core_prime(n, core)
     return StfFactorization(core, copies, core_indices, basis_indices)
-
-
-def _verify_core_prime(n: int, core: FrameMatrix):
-    try:
-        ok = is_prime_bruteforce(core)
-    except SearchCapError:
-        ok = not stf_is_divisible(n, core.m)
-    if not ok:
-        raise FrameError("factorization left a non-prime core; this is a bug")

@@ -192,7 +192,7 @@ def test_tight_subsets_hexagon():
         tight_subsets(hexagon_frame(), 7)
 
 
-def test_robustness_counterexample_always_found():
+def test_robustness_counterexample_always_found(monkeypatch):
     assert robustness_counterexample_check(hexagon_frame(), 3)
     assert robustness_counterexample_check(hexagon_frame(), 2)
     assert robustness_counterexample_check(htf(HtfParams(2, 4)), 2)
@@ -200,10 +200,43 @@ def test_robustness_counterexample_always_found():
         phi = htf(HtfParams(2, m))
         for p in range(2, m - 1):
             assert robustness_counterexample_check(phi, p)
+            # the early exit agrees with listing every tight p-subset
+            for tol in (1e-9, 0.9):
+                assert robustness_counterexample_check(phi, p, tol) == (
+                    len(tight_subsets(phi, p, tol)) < comb(m, p))
+    # tol 0.9 accepts every p-subset here: the walk visits them all
+    for m, p in ((4, 2), (6, 3), (5, 2)):
+        assert not robustness_counterexample_check(htf(HtfParams(2, m)), p,
+                                                   0.9)
     with pytest.raises(ValueError):
         robustness_counterexample_check(htf(HtfParams(1, 3)), 1)
     with pytest.raises(ValueError):
         robustness_counterexample_check(hexagon_frame(), 5)
+    # C(30, 15) subsets are over the cap; forced, the first one answers
+    big = htf(HtfParams(2, 30))
+    with pytest.raises(SearchCapError):
+        robustness_counterexample_check(big, 15)
+    assert robustness_counterexample_check(big, 15, force=True)
+    # the first 13-subset of htf(4, 26) is not tight: one evaluation for
+    # the whole frame and one for that subset, and no pool of the
+    # C(26, 13) subsets screened by the kernel
+    calls = []
+    screened = []
+
+    def counted(entries):
+        calls.append(1)
+        return _bound_and_residual(entries)
+
+    def counted_blocks(*args):
+        for picks in subset_blocks(*args):
+            screened.append(len(picks))
+            yield picks
+
+    subset_blocks = divisibility._subset_blocks
+    monkeypatch.setattr(divisibility, "_bound_and_residual", counted)
+    monkeypatch.setattr(divisibility, "_subset_blocks", counted_blocks)
+    assert robustness_counterexample_check(htf(HtfParams(4, 26)), 13)
+    assert len(calls) < 10 and sum(screened) == 0
 
 
 def test_search_cap_enforced_and_forceable():

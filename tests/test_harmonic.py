@@ -19,7 +19,12 @@ from primeframes.numtheory import (is_prime_int, prime_power_factorization,
 
 
 def test_numtheory_basics():
-    assert [k for k in range(14) if is_prime_int(k)] == [2, 3, 5, 7, 11, 13]
+    sieve = np.ones(2000, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 45):
+        sieve[d * d::d] = False
+    assert [k for k in range(-3, 2000) if is_prime_int(k)] == (
+        np.flatnonzero(sieve).tolist())
     assert prime_power_factorization(1) == []
     assert prime_power_factorization(24) == [(2, 3), (3, 1)]
     assert prime_power_factorization(97) == [(97, 1)]

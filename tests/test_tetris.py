@@ -11,7 +11,6 @@ from primeframes import (FrameMatrix, InfeasibleError, TetrisSchedule,
                          check_tight, is_prime_bruteforce, stf, stf_factorize,
                          stf_is_divisible, stf_low_redundancy,
                          stf_low_redundancy_feasible, stf_schedule)
-from primeframes import tetris
 
 # The 4 x 11 instance, assembled by hand from the row-budget recurrence.
 STF_4_11 = np.array([
@@ -176,7 +175,9 @@ def test_factorize_copies_match_peeling_the_schedule():
             while (rest >= 2 * n
                    and min(stf_schedule(n, rest).ones_per_row) >= 1):
                 rest -= n
-            assert stf_factorize(n, m).basis_copies == (m - rest) // n, (n, m)
+            fact = stf_factorize(n, m)
+            assert fact.basis_copies == (m - rest) // n, (n, m)
+            assert is_prime_bruteforce(fact.prime_core), (n, m)
 
 
 def test_factorize_pieces_partition_and_verify():
@@ -271,12 +272,7 @@ def same_frame(phi, psi):
             and phi.entries.tobytes() == psi.entries.tobytes())
 
 
-def test_integer_bookkeeping_matches_fraction_oracle(monkeypatch):
-    # the core's primality search takes seconds at n = 25 and is tested
-    # above; here each core it would be handed is recorded instead
-    verified = []
-    monkeypatch.setattr(tetris, "_verify_core_prime",
-                        lambda n, core: verified.append((n, core)))
+def test_integer_bookkeeping_matches_fraction_oracle():
     # the shapes include (7, 30), where 1 - r/2 taken in floats is 1 ulp off
     for n in range(1, 41):
         for m in range(2 * n, 4 * n + 3):
@@ -293,7 +289,6 @@ def test_integer_bookkeeping_matches_fraction_oracle(monkeypatch):
                 fraction_factorize(n, m))
             fact = stf_factorize(n, m)
             assert same_frame(fact.prime_core, core), (n, m)
-            assert verified.pop()[1] is fact.prime_core
             assert repr(fact[1:]) == repr((copies, core_indices,
                                            basis_indices)), (n, m)
         for m_tilde in range(n + 1, 2 * n):
