@@ -662,9 +662,10 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
                                 force: bool = False) -> list:
     """All factor-size multisets over every prime factorization.
 
-    Exhaustive (doubly exponential in spirit, memoized on column subsets),
-    intended for small frames.  Zero columns are ignored.  Returns sorted
-    tuples, e.g. [(2, 2, 2, 2, 2), (5, 5)].
+    Memoized on column subsets, for small frames; zero columns are ignored.
+    Returns sorted tuples, e.g. [(2, 2, 2, 2, 2), (5, 5)].  A tight part P
+    of a remainder is prime unless an earlier listed part q lies inside P
+    with |q| <= |P| - n and A_q < A_P - tol; the first is P's first divisor.
     """
     _require_tight(phi.entries, tol)
     n, entries = phi.n, phi.entries
@@ -672,30 +673,29 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     if len(live) < 2 * n:
         return [(len(live),)]  # prime unsearched, as in _first_divisor
     _check_budget(n, force, _kernel_rows(phi.m, range(n, phi.m - n + 1)))
-    coords = _coordinates(entries)
-    memo = {}
+    coords, memo = _coordinates(entries), {}
 
     def solve(rem: tuple) -> set:
         if rem in memo:
             return memo[rem]
         parent_bound = _bound_and_residual(entries[:, rem])[0]
-        out = set()
-        divisible = False
+        out, listed = set(), []
         for part, part_bound in _tight_parts(
                 entries, coords, rem, range(n, len(rem) - n + 1), True,
                 parent_bound, tol):
-            # the first part is the first divisor of rem, so prime
-            if divisible and _first_divisor(
-                    entries, part, part_bound, tol, force,
-                    lambda entries: coords) is not None:
+            mask = sum(1 << i for i in part)
+            divisor = len(part) >= 2 * n and next(
+                (q for q, q_mask, q_bound in listed
+                 if len(q) <= len(part) - n and not q_mask & ~mask
+                 and q_bound < part_bound - tol), None)
+            listed.append((part, mask, part_bound))
+            if divisor:
+                _check_complement(entries, part, divisor, tol)
                 continue
-            divisible = True
             for sizes in solve(tuple(_rest(rem, part))):
                 out.add(tuple(sorted(sizes + (len(part),))))
-        if not divisible:
-            out = {(len(rem),)}
-        memo[rem] = out
-        return out
+        memo[rem] = out or {(len(rem),)}
+        return memo[rem]
 
     return sorted(solve(live))
 

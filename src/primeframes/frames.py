@@ -176,7 +176,7 @@ def canonical_parseval(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> FrameMatri
     """The Parseval frame S^{-1/2} Phi associated with a spanning frame."""
     s = frame_operator(phi)
     eigval, eigvec = np.linalg.eigh(s)
-    if eigval[0] <= tol:
+    if eigval[0] <= tol * eigval[-1]:
         raise FrameError("columns do not span: smallest eigenvalue %.3e" % eigval[0])
     inv_root = (eigvec * (1.0 / np.sqrt(eigval))) @ eigvec.conj().T
     out = inv_root @ phi.entries

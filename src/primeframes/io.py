@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -163,16 +164,13 @@ def _pair_array(rows, shape: tuple, key: str) -> np.ndarray:
                          "range" % key) from None
     except (TypeError, ValueError):
         raise bad from None
-    if arr.shape != shape:
+    items = rows
+    for _ in shape[1:]:
+        items = chain.from_iterable(items)
+    # np.array converts strings, booleans and null (as NaN) as well
+    if arr.shape != shape or not set(map(type, items)) <= {int, float}:
         raise bad
     if not np.isfinite(arr).all():
-        # np.array reads a JSON null as NaN, where float() refuses it
-        for index in np.argwhere(np.isnan(arr)):
-            item = rows
-            for i in index:
-                item = item[i]
-            if item is None:
-                raise bad
         raise ValueError("field %r must hold finite numbers" % key)
     return arr
 

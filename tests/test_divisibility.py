@@ -1067,6 +1067,32 @@ def test_factorizations_match_searching_both_halves(phi):
                     == every_part_multisets(phi, tol))
 
 
+def census_frames():
+    """Frames whose census lists many tight parts that are not prime."""
+    out = [htf(HtfParams(n, m)) for n in (2, 3, 4) for m in range(2 * n, 13)]
+    return out + [FrameMatrix.from_array(np.hstack([np.eye(n)] * copies))
+                  for n in (2, 3) for copies in range(2, 12 // n + 1)]
+
+
+@pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
+def test_census_matches_a_search_of_every_part(tol):
+    for phi in census_frames():
+        assert (outcome(prime_factor_size_multisets, phi, tol)
+                == outcome(every_part_multisets, phi, tol))
+
+
+def test_census_runs_no_first_divisor_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census searched a part")
+
+    monkeypatch.setattr(divisibility, "_first_divisor", refuse)
+    assert prime_factor_size_multisets(htf(HtfParams(2, 10))) == [
+        (2, 2, 2, 2, 2), (5, 5)]
+    assert prime_factor_size_multisets(hexagon_frame()) == [(3, 3)]
+    stack = FrameMatrix.from_array(np.hstack([np.eye(2)] * 6))
+    assert prime_factor_size_multisets(stack) == [(2,) * 6]
+
+
 # --- closed forms against the search ---------------------------------------
 
 @given(st.integers(2, 5).flatmap(

@@ -148,6 +148,13 @@ def test_canonical_parseval_many_spanning_frames():
         assert rep.is_tight and abs(rep.bound - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+def test_canonical_parseval_spans_at_any_scale(scale):
+    phi = FrameMatrix(scale * htf(HtfParams(3, 7)).entries, "complex")
+    rep = check_tight(canonical_parseval(phi))
+    assert rep.is_tight and abs(rep.bound - 1.0) < 1e-10
+
+
 def test_canonical_parseval_rejects_rank_deficient():
     flat = FrameMatrix.from_columns([(1, 0), (2, 0), (3, 0)])
     with pytest.raises(FrameError):

@@ -188,6 +188,11 @@ def test_frame_json_obj_schema_errors_name_the_field():
         (dict(good, columns=[[[1, 0], [1, 2, 3]]] * 3), "'columns'"),
         (dict(good, columns=[[[1, 0], ["a", 0]]] * 3), "'columns'"),
         (dict(good, columns=[[[1, 0], [[1], 0]]] * 3), "'columns'"),
+        ({"n": 1, "m": 1, "field": "real", "columns": [[["1", "0"]]]},
+         "'columns' must hold"),
+        ({"n": 1, "m": 1, "field": "real", "columns": [[[True, False]]]},
+         "'columns' must hold"),
+        (dict(good, columns=[[[1, 0], [0, False]]] * 3), "'columns' must hold"),
     ]
     for obj, field in cases:
         with pytest.raises(ValueError, match=field):
@@ -203,6 +208,8 @@ def test_vector_json_obj_schema_errors_name_the_field():
         ({"n": 1, "entries": "ab"}, "'entries'"),
         ({"n": 1, "entries": [3]}, "'entries'"),
         ({"n": 1, "entries": [[1, {}]]}, "'entries'"),
+        ({"n": 1, "entries": [[False, True]]}, "'entries' must hold"),
+        ({"n": 1, "entries": [["1", 0]]}, "'entries' must hold"),
     ]
     for obj, field in cases:
         with pytest.raises(ValueError, match=field):
