@@ -54,21 +54,27 @@ of the matching entry of -C_p^+ C_f x_f, and so within mu of 0 or 1.
 pivots' Gram matrix, and the rounding term bounds the error of computing
 C_p^+ C_f and the sums.  The path enumerates the 2^(m-r-1) assignments
 x_f with column 1 pinned to 1 (column 1 is never a pivot), screens them
-on the first pivot, checks the survivors on every pivot at once, and
-takes the rounded entries as x_p.  Every subset the exact rule accepts is
-such a survivor, so the path sees them all: it sorts the survivors of
-each chunk once by (size, bitmask), re-decides them by the exact rule in
-that order, and keeps the least accepted one.  If none is accepted the
-frame is prime; otherwise the least accepted subset is exactly the
-kernel's first certificate.  (The assignment with every free column in
-is the whole frame, whose pivots the bound forces to 1, so it is
-skipped.)  The pivots are the r columns of largest norm when their Gram
-matrix is well conditioned, else those of a pivoted Cholesky
-factorization; r is at most the rank of C, which is n(n+1)/2 - 1 for
-real and n^2 - 1 for complex frames.  Coordinates that stay at rounding
-level on every column lower that bound, and when they do, the
-largest-norm Gram matrix would be singular, so only the pivoted Cholesky
-choice is tried.
+on one pivot, checks the survivors on every pivot at once, and takes the
+rounded entries as x_p.  An accepted subset passes every pivot, so any
+pivot may screen: a search of one chunk screens on the first, a longer
+one on the pivot whose forcing row has the most free entries above mu,
+which the fewest assignments pass (on sparse frames the first pivot's
+row may touch only a few free columns).  Every subset the exact rule
+accepts is such a survivor, so the path sees them all: it re-decides the
+survivors of each chunk by the exact rule in (size, bitmask) order, up
+to the first accepted one, and keeps the least accepted one.  A few
+screened assignments are checked, and a few survivors ordered, in plain
+Python; more are checked in one product and sorted once.  If none is
+accepted the frame is prime; otherwise the least accepted subset is
+exactly the kernel's first certificate.  (The assignment with every free
+column in is the whole frame, whose pivots the bound forces to 1, so it
+is skipped.)  The pivots are the r columns of largest norm when
+their Gram matrix is well conditioned, else those of a pivoted Cholesky
+factorization, whose loop carries L^-1 along, so they are factored once;
+r is at most the rank of C, which is n(n+1)/2 - 1 for real and n^2 - 1
+for complex frames.  Coordinates that stay at rounding level on every
+column lower that bound, and when they do, the largest-norm Gram matrix
+would be singular, so only the pivoted Cholesky choice is tried.
 
 A first-divisor search, over every size or some, runs the reduction
 when mu < 1/4 and it costs fewer kernel rows than the kernel's subset
@@ -90,7 +96,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, starmap
 from math import comb, sqrt
 
 import numpy as np
@@ -110,6 +116,9 @@ _RANK_LIMIT = 1 << 62
 # warm loop and 0.2 ms (800 rows) among the benchmark's other searches
 _REDUCTION_SETUP_ROWS = 1024
 _LOW_BITS = 10
+# at most this many assignments of a chunk are checked, and at most this
+# many survivors ordered, in plain Python, below the fixed cost of numpy
+_FEW_SURVIVORS = 4
 _REDUCTION_CHUNK = 1 << 14
 _PIVOT_FLOOR = 1e-10
 # pools of at most this many columns are screened in one pass over a
@@ -347,33 +356,48 @@ def _check_complement(entries: np.ndarray, cols, part, tol: float) -> float:
     return bound
 
 
-def _greedy_pivots(gram, most, floor) -> list:
-    """Positions chosen by pivoted Cholesky of the Gram matrix of the
-    traceless coordinates, largest residual first, never position 0.
+def _greedy_pivots(gram, most, floor):
+    """(positions p, L^-1, L^-1 G_p.) by pivoted Cholesky of the Gram
+    matrix G of the traceless coordinates, largest residual first, never
+    position 0, with L the Cholesky factor of G_pp; None when no position
+    qualifies or a residual is not positive.
 
     A column becomes a pivot only while its residual norm^2 exceeds
     ``floor`` and _PIVOT_FLOOR times its norm^2 (below that it is a
-    rounding echo of the earlier pivots)."""
+    rounding echo of the earlier pivots).  Row j of the loop reduces row
+    p_j of [G | I] by the rows before it: its G half is row j of L^-1 G_p.
+    (so its entry at p_i is L_ji), and its I half is row j of L^-1 with
+    entry i at position p_i."""
     norms = gram.diagonal()
+    width = len(norms)
     room = norms - np.maximum(_PIVOT_FLOOR * norms, floor)
     room[0] = -np.inf
-    low = np.zeros((most, len(norms)))
+    rows = np.eye(width, 2 * width, width)
+    rows[:, :width] = gram
+    low = np.zeros((most, 2 * width))
     pivots = []
     for j in range(most):
         p = int(room.argmax())
         if room[p] <= 0.0:
             break
         line = low[j]
-        np.subtract(gram[p], low[:j, p].dot(low[:j]), out=line)
+        np.subtract(rows[p], low[:j, p].dot(low[:j]), out=line)
+        if not line[p] > 0.0:
+            return None
         line *= 1.0 / sqrt(line[p])
-        room -= line * line
+        head = line[:width]
+        room -= head * head
         room[p] = -np.inf
         pivots.append(p)
-    return pivots
+    if not pivots:
+        return None
+    low = low[:len(pivots)]
+    return pivots, low[:, width:].take(pivots, axis=1), low[:, :width]
 
 
-def _forcing(gram, norms, pivots, margin, rounding):
-    """(forced, mu) for the given pivots, or None when mu >= 1/4.
+def _forcing(norms, chosen, margin, rounding):
+    """(pivots, forced, mu) for ``chosen`` = (pivots, L^-1, L^-1 G_p.),
+    or None when ``chosen`` is None or mu >= 1/4.
 
     forced = C_p^+ C = G_pp^-1 G_p. for the Gram matrix G of the
     traceless coordinates, whose diagonal is ``norms``, and
@@ -386,18 +410,16 @@ def _forcing(gram, norms, pivots, margin, rounding):
     the squares of L^-1: the trace of a computed inverse of a singular
     G_pp can come out small and positive.
     """
-    rows = gram.take(pivots, axis=0)
-    try:
-        linv = np.linalg.inv(np.linalg.cholesky(rows.take(pivots, axis=1)))
-    except np.linalg.LinAlgError:
+    if chosen is None:
         return None
+    pivots, linv, reduced = chosen
     spread = float(np.vdot(linv, linv))
     if not 0.0 < spread < np.inf:
         return None
     scale = sum(norms[p] for p in pivots)
     mu = sqrt(spread) * margin + rounding * spread * scale * (
         1.0 + sqrt(spread * len(norms) * sum(norms)))
-    return (linv.T.dot(linv.dot(rows)), mu) if mu < 0.25 else None
+    return (pivots, linv.T.dot(reduced), mu) if mu < 0.25 else None
 
 
 def _pivot_reduction(coords, cols, n, bound, tol):
@@ -433,12 +455,100 @@ def _pivot_reduction(coords, cols, n, bound, tol):
     if rank >= most:
         largest = sorted(range(1, width + 1), key=norms.__getitem__,
                          reverse=True)[:most]
-        found = _forcing(gram, norms, largest, margin, rounding)
-        if found is not None:
-            return (largest,) + found
-    pivots = _greedy_pivots(gram, min(most, rank), (64.0 * margin) ** 2)
-    found = _forcing(gram, norms, pivots, margin, rounding)
-    return None if found is None else (pivots,) + found
+        rows = gram.take(largest, axis=0)
+        try:
+            linv = np.linalg.inv(np.linalg.cholesky(
+                rows.take(largest, axis=1)))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            found = _forcing(norms, (largest, linv, linv.dot(rows)), margin,
+                             rounding)
+            if found is not None:
+                return found
+    return _forcing(norms, _greedy_pivots(
+        gram, min(most, rank), (64.0 * margin) ** 2), margin, rounding)
+
+
+def _all_pivot_check(forced, pivots, free, sizes, mu):
+    """The check of screened assignments on every pivot.
+
+    The returned function takes assignment numbers (bit k for position
+    free[k]) and yields, for each assignment that passes and has a size
+    in ``sizes``, its member positions (0 is always in) by ascending
+    (size, bitmask).  A few assignments are checked in plain Python, more
+    in one product.  A few survivors are ordered by their position lists
+    from the highest position down; more are sorted once by size and by
+    their bitmask in words of 62 bits, highest word first, and read one
+    at a time.  Each call keeps its largest arrays until the next call
+    has made its own: when a chunk freed megabytes at its end, the
+    allocator handed them back to the system and the next chunk faulted
+    every page in again.
+    """
+    coupled = forced.take(free, axis=1)
+    offset = forced[:, :1] + 0.5
+    columns, base = coupled.T.tolist(), offset.ravel().tolist()
+    shifts = np.arange(len(free))[:, None]
+    width = len(free) + len(pivots)
+    kept = []
+
+    def values(code):
+        # the pivots' entries of forced @ x_f + 1/2 for one assignment
+        out = base
+        for j, column in enumerate(columns):
+            if code >> j & 1:
+                out = [a + b for a, b in zip(out, column)]
+        return out
+
+    def members(code, shifted):
+        # a pivot is in when its entry of forced @ x_f + 1/2 is below 0
+        return sorted([0] + [f for j, f in enumerate(free) if code >> j & 1]
+                      + [p for p, v in zip(pivots, shifted) if v < 0.0])
+
+    def ordered(bits, shifted, codes, rows):
+        negative = shifted < 0.0
+        kept.append(negative)
+        size = bits.sum(axis=0)
+        size += negative.sum(axis=0)
+        size += 1
+        rows = rows[np.isin(size[rows], sizes)]
+        keys = []
+        for low in range(0, width + 1, 62):
+            # position q weighs 2^(q - low) in the word from low
+            on, neg = (np.array([1 << q - low if low <= q < low + 62 else 0
+                                 for q in positions], dtype=np.int64)
+                       for positions in (free, pivots))
+            keys.append(on.dot(bits)[rows] + neg.dot(negative)[rows]
+                        + (low == 0))
+        # lexsort's last key sorts first
+        for row in rows[np.lexsort(keys + [size[rows]])]:
+            yield members(int(codes[row]), shifted[:, row].tolist())
+
+    def check(codes):
+        if len(codes) <= _FEW_SURVIVORS:
+            codes = codes.tolist()
+            found = [(code, v) for code, v in zip(codes, map(values, codes))
+                     if all(abs(abs(a) - 0.5) <= mu for a in v)]
+        else:
+            # one column per assignment; a product of floats runs in BLAS
+            bits = (codes >> shifts) & 1
+            shifted = coupled.dot(bits.astype(float))
+            shifted += offset
+            dev = np.abs(shifted)
+            dev -= 0.5
+            np.abs(dev, out=dev)
+            rows = (dev.max(axis=0) <= mu).nonzero()[0]
+            kept[:] = bits, shifted, dev
+            if len(rows) > _FEW_SURVIVORS:
+                yield from ordered(bits, shifted, codes, rows)
+                return
+            found = zip(codes[rows].tolist(), shifted[:, rows].T.tolist())
+        keyed = [(len(m), m[::-1], m) for m in starmap(members, found)
+                 if len(m) in sizes]
+        for *_, m in sorted(keyed):
+            yield m
+
+    return check
 
 
 def _reduction_search(entries, cols, sizes, bound, tol, reduction):
@@ -452,9 +562,8 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
     kernel's order (size, then ascending bitmask), the kernel's first
     certificate; None when, after a chunk, its rows still to enumerate
     outnumber the kernel rows up to the best subset so far.
-    Each chunk's survivors are sorted once, by size and then by their
-    bytes from the highest position down, which is ascending (size,
-    bitmask).
+    Each chunk's survivors are re-decided in (size, bitmask) order, up
+    to the first accepted one.
     """
     width = len(cols) - 1
     pivots, forced, mu = reduction
@@ -462,10 +571,18 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
     low = min(len(free), _LOW_BITS)
     high = free[low:]
     # position 0 is always in; forced @ x_f + 1/2 must lie within mu of
-    # -1/2 or 1/2 in every entry.  Screen on the first pivot, with the
-    # low free bits tabulated, then check the survivors on every pivot.
-    table = forced[0].take(free[:low]).dot(_bit_columns(low))
-    table += forced[0, 0] + 0.5
+    # -1/2 or 1/2 in every entry.  Screen on one pivot, with the low free
+    # bits tabulated, then check the survivors on every pivot.  Every
+    # accepted subset passes every pivot, so any pivot may screen: one
+    # chunk takes the first, and more chunks the pivot with the most
+    # free entries above mu, which the fewest assignments pass.
+    screen = forced[0]
+    if high:
+        dense = (np.abs(forced.take(free, axis=1)) > mu).sum(axis=1)
+        screen = forced[dense.argmax()]
+    table = screen.take(free[:low]).dot(_bit_columns(low))
+    table += screen[0] + 0.5
+    check = None  # set up at the first survivor of the screen
     blocks = 1 << len(high)
     best = None  # (size, positions descending), positions in cols, bound
     start, step = 0, 1
@@ -474,7 +591,7 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
         dev = table
         if high:
             lift = ((np.arange(start, stop)[:, None] >> np.arange(len(high)))
-                    & 1).dot(forced[0].take(high))
+                    & 1).dot(screen.take(high))
             dev = np.add.outer(lift, table).ravel()
         np.abs(dev, out=dev)
         dev -= 0.5
@@ -485,22 +602,9 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
             dev[-1] = 1.0
         flat = (dev <= mu).nonzero()[0]
         if len(flat):
-            bits = ((flat + (start << low))[:, None]
-                    >> np.arange(len(free))) & 1
-            shifted = bits.dot(forced.take(free, axis=1).T)
-            shifted += forced[:, 0] + 0.5
-            whole = np.abs(np.abs(shifted) - 0.5).max(axis=1) <= mu
-            # one 0/1 row per survivor over positions 0 .. width
-            rows = np.ones((whole.sum(), width + 1), dtype=bool)
-            rows[:, free] = bits[whole]
-            rows[:, pivots] = shifted[whole] < 0.0
-            size = rows.sum(axis=1)
-            fits = np.array([k in sizes for k in range(width + 2)])[size]
-            rows, size = rows[fits], size[fits]
-            # ascending (size, bitmask): bytes from the highest position down
-            masks = rows[:, ::-1].copy().view("S%d" % (width + 1))[:, 0]
-            for row in np.lexsort((masks, size)):
-                members = rows[row].nonzero()[0].tolist()
+            check = check or _all_pivot_check(forced, pivots, free, sizes,
+                                              mu)
+            for members in check(flat + (start << low)):
                 key = len(members), members[::-1]
                 if best is not None and key >= best[0]:
                     break
@@ -673,7 +777,9 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     if len(live) < 2 * n:
         return [(len(live),)]  # prime unsearched, as in _first_divisor
     _check_budget(n, force, _kernel_rows(phi.m, range(n, phi.m - n + 1)))
-    coords, memo = _coordinates(entries), {}
+    # a part's complement check depends on the part alone, and a failed
+    # one raises, so the masks of parts that passed are kept
+    coords, memo, checked = _coordinates(entries), {}, set()
 
     def solve(rem: tuple) -> set:
         if rem in memo:
@@ -690,7 +796,9 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
                  and q_bound < part_bound - tol), None)
             listed.append((part, mask, part_bound))
             if divisor:
-                _check_complement(entries, part, divisor, tol)
+                if mask not in checked:
+                    _check_complement(entries, part, divisor, tol)
+                    checked.add(mask)
                 continue
             for sizes in solve(tuple(_rest(rem, part))):
                 out.add(tuple(sorted(sizes + (len(part),))))

@@ -685,9 +685,27 @@ def proof_frames():
     return out
 
 
+def many_survivor_frames():
+    """Divisible frames whose first reduction chunk leaves 128 to 462
+    assignments that pass every pivot, and one (stf(6, 16)) that leaves
+    four."""
+    return [FrameMatrix.from_array(np.hstack([np.eye(2)] * 8)),
+            FrameMatrix.from_array(np.hstack([np.eye(3)] * 6)),
+            stf(8, 16), stf(5, 15), stf(6, 16)]
+
+
+def wide_free_frames():
+    """Frames of R^2 whose reduction has 15 free columns, more than
+    _LOW_BITS, so it screens several chunks on its sharpest pivot; the
+    kernel still searches them in a few hundred ms."""
+    return ([random_tight_frame(2, 18, seed) for seed in range(3)]
+            + [planted_split(2, 8, 10, 5), planted_split(2, 7, 11, 6),
+               planted_split(2, 9, 9, 7)])
+
+
 @pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
 def test_proof_path_matches_the_kernel(tol, monkeypatch):
-    frames = proof_frames()
+    frames = proof_frames() + many_survivor_frames() + wide_free_frames()
     with_path = [(outcome(is_prime_bruteforce, phi, tol),
                   outcome(find_divisor, phi, tol=tol)) for phi in frames]
     used = []
@@ -711,6 +729,35 @@ def test_proof_path_factorizations_match_the_kernel(tol, monkeypatch):
     kernel_only(monkeypatch)
     assert with_path == [outcome(prime_factorization, phi, tol)
                          for phi in frames]
+
+
+def test_both_survivor_orders_agree(monkeypatch):
+    # the all-pivot check checks and orders a few assignments in plain
+    # Python and more in numpy; either way the same survivors come by
+    # ascending (size, bitmask).
+    # stf(32, 64) has positions past 61, so its bitmask takes two words;
+    # its 2^32 assignments are sampled
+    rng = np.random.default_rng(0)
+    cases = [(phi, None) for phi in many_survivor_frames()]
+    cases.append((stf(32, 64), rng.integers(0, 1 << 32, 4096)))
+    for phi, codes in cases:
+        coords = _coordinates(phi.entries)
+        pivots, forced, mu = divisibility._pivot_reduction(
+            coords, range(phi.m), phi.n, check_tight(phi).bound, 1e-9)
+        free = [i for i in range(1, phi.m) if i not in pivots]
+        if codes is None:
+            codes = np.arange(1 << len(free))
+        check = divisibility._all_pivot_check(
+            forced, pivots, free, range(phi.n, phi.m - phi.n + 1), mu)
+        orders = []
+        for few in (0, len(codes)):
+            monkeypatch.setattr(divisibility, "_FEW_SURVIVORS", few)
+            orders.append(list(check(codes)))
+        keys = [(len(members), sum(1 << i for i in members))
+                for members in orders[0]]
+        assert orders[0] == orders[1] and len(keys) >= 4
+        assert keys == sorted(keys) and all(m[0] == 0 for m in orders[0])
+    assert max(mask for _, mask in keys).bit_length() > 62
 
 
 def test_pivots_have_full_rank_and_are_well_conditioned():
@@ -754,6 +801,16 @@ def test_dependent_pivots_are_refused():
 
 def test_proof_path_decides_large_frames_quickly():
     phi = random_tight_frame(4, 24, 0)
+    start = time.perf_counter()
+    assert is_prime_bruteforce(phi)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sparse_frames_screen_on_their_sharpest_pivot():
+    # the first pivot's forcing row of stf(25, 73) touches 3 of its 24
+    # free columns and passes about 37% of the assignments; the row with
+    # the most free entries above mu passes under 1%
+    phi = stf(25, 73)
     start = time.perf_counter()
     assert is_prime_bruteforce(phi)
     assert time.perf_counter() - start < 1.0
@@ -818,21 +875,33 @@ def test_reduction_hands_over_on_divisor_rich_frames():
 def test_low_rank_frames_try_only_the_greedy_pivots(monkeypatch):
     # the traceless coordinates of these frames have fewer live rows than
     # pivots the largest-norm choice would take, so that choice (a
-    # singular Gram matrix) is skipped; full-rank frames still take it
+    # singular Gram matrix) is skipped, and the greedy choice factors its
+    # pivots once, inside its own loop; full-rank frames still take the
+    # largest-norm choice, through LAPACK
     calls = []
-    forcing = divisibility._forcing
-    monkeypatch.setattr(divisibility, "_forcing",
-                        lambda gram, norms, pivots, *rest: calls.append(
-                            pivots) or forcing(gram, norms, pivots, *rest))
-    for phi, rank in ((dft_row_frame(2, 13), 2),
-                      (prime_parseval_extension(3, 12), 2),
-                      (stf(5, 13), 8), (random_tight_frame(3, 12, 0), 5)):
+
+    def counted(name, call):
+        return lambda *args: calls.append(name) or call(*args)
+
+    for name in ("cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name,
+                            counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(divisibility, "_greedy_pivots", counted(
+        "greedy", divisibility._greedy_pivots))
+    for phi, rank, largest in ((dft_row_frame(2, 13), 2, False),
+                               (prime_parseval_extension(3, 12), 2, False),
+                               (stf(5, 13), 8, False),
+                               (random_tight_frame(3, 12, 0), 5, True)):
         calls.clear()
+        coords = _coordinates(phi.entries)
         found = divisibility._pivot_reduction(
-            _coordinates(phi.entries), range(phi.m), phi.n,
-            check_tight(phi).bound, 1e-9)
+            coords, range(phi.m), phi.n, check_tight(phi).bound, 1e-9)
         assert found is not None and len(found[0]) == rank
-        assert calls == [found[0]]
+        if largest:
+            norms = np.einsum("ij,ij->i", coords[:, :-1], coords[:, :-1])
+            assert found[0] == sorted(range(1, phi.m), key=norms.__getitem__,
+                                      reverse=True)[:rank]
+        assert calls == (["cholesky", "inv"] if largest else ["greedy"])
 
 
 def count_redecisions(monkeypatch, call):
@@ -985,6 +1054,35 @@ def test_certificates_match_the_kernel(phi):
         with pytest.MonkeyPatch.context() as patch:
             kernel_only(patch)
             assert got == outcomes(tol)
+
+
+@st.composite
+def shuffled_tetris_frames(draw):
+    """A spectral tetris frame of at most 16 columns in a seeded order:
+    its forcing rows are sparse, so the pivot with the most free entries
+    above mu is often not the first."""
+    n = draw(st.integers(3, 6))
+    phi = stf(n, draw(st.integers(2 * n, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return shuffled(phi.entries, rng) if draw(st.booleans()) else phi
+
+
+@given(st.one_of(divisible_frames(), shuffled_tetris_frames()))
+def test_sharpest_screen_matches_the_kernel(phi):
+    # with two tabulated bits every reduction spans several chunks, so it
+    # screens on the pivot with the most free entries above mu and may
+    # hand over between chunks; its certificates are the kernel's
+    def outcomes():
+        return [(outcome(find_divisor, phi, tol=tol),
+                 outcome(is_prime_bruteforce, phi, tol))
+                for tol in EQUIVALENCE_TOLS]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(divisibility, "_LOW_BITS", 2)
+        got = outcomes()
+    with pytest.MonkeyPatch.context() as patch:
+        kernel_only(patch)
+        assert got == outcomes()
 
 
 # --- the first divisor is prime ---------------------------------------------
