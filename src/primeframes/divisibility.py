@@ -62,11 +62,11 @@ which the fewest assignments pass (on sparse frames the first pivot's
 row may touch only a few free columns).  Every subset the exact rule
 accepts is such a survivor, so the path sees them all: it re-decides the
 survivors of each chunk by the exact rule in (size, bitmask) order, up
-to the first accepted one, and keeps the least accepted one.  A few
-screened assignments are checked, and a few survivors ordered, in plain
-Python; more are checked in one product and sorted once.  If none is
-accepted the frame is prime; otherwise the least accepted subset is
-exactly the kernel's first certificate.  (The assignment with every free
+to the first accepted one, and keeps the least accepted one.  A
+chunk's screen survivors are checked on every pivot in one product; a
+few that pass are ordered in plain Python, and more are sorted once.
+If none is accepted the frame is prime; otherwise the least accepted
+subset is exactly the kernel's first certificate.  (The assignment with every free
 column in is the whole frame, whose pivots the bound forces to 1, so it
 is skipped.)  The pivots are the r columns of largest norm when
 their Gram matrix is well conditioned, else those of a pivoted Cholesky
@@ -116,8 +116,8 @@ _RANK_LIMIT = 1 << 62
 # warm loop and 0.2 ms (800 rows) among the benchmark's other searches
 _REDUCTION_SETUP_ROWS = 1024
 _LOW_BITS = 10
-# at most this many assignments of a chunk are checked, and at most this
-# many survivors ordered, in plain Python, below the fixed cost of numpy
+# at most this many survivors of a chunk are ordered in plain Python,
+# below the fixed cost of numpy's sort
 _FEW_SURVIVORS = 4
 _REDUCTION_CHUNK = 1 << 14
 _PIVOT_FLOOR = 1e-10
@@ -470,35 +470,27 @@ def _pivot_reduction(coords, cols, n, bound, tol):
         gram, min(most, rank), (64.0 * margin) ** 2), margin, rounding)
 
 
-def _all_pivot_check(forced, pivots, free, sizes, mu):
+def _all_pivot_check(coupled, offset, pivots, free, sizes, mu):
     """The check of screened assignments on every pivot.
 
-    The returned function takes assignment numbers (bit k for position
-    free[k]) and yields, for each assignment that passes and has a size
-    in ``sizes``, its member positions (0 is always in) by ascending
-    (size, bitmask).  A few assignments are checked in plain Python, more
-    in one product.  A few survivors are ordered by their position lists
-    from the highest position down; more are sorted once by size and by
-    their bitmask in words of 62 bits, highest word first, and read one
-    at a time.  Each call keeps its largest arrays until the next call
-    has made its own: when a chunk freed megabytes at its end, the
-    allocator handed them back to the system and the next chunk faulted
+    ``coupled`` is forced on the ``free`` columns and ``offset`` is
+    forced's column 0 plus 1/2.  The returned function takes assignment
+    numbers (bit k for position free[k]) and yields, for each assignment
+    that passes and has a size in ``sizes``, its member positions (0 is
+    always in) by ascending (size, bitmask).  The assignments are checked
+    in one product.  A few survivors are ordered in plain Python by their
+    position lists from the highest position down; more are sorted once
+    by size and by their bitmask in words of 62 bits, highest word first,
+    and read one at a time.  Each call keeps its largest arrays until the
+    next call has made its own.  glibc's malloc serves blocks this large
+    by mmap and unmaps them when freed, or trims them off the top of the
+    heap, so freeing them at a chunk's end made the next chunk fault
     every page in again.
     """
-    coupled = forced.take(free, axis=1)
-    offset = forced[:, :1] + 0.5
-    columns, base = coupled.T.tolist(), offset.ravel().tolist()
     shifts = np.arange(len(free))[:, None]
+    offset = offset[:, None]
     width = len(free) + len(pivots)
     kept = []
-
-    def values(code):
-        # the pivots' entries of forced @ x_f + 1/2 for one assignment
-        out = base
-        for j, column in enumerate(columns):
-            if code >> j & 1:
-                out = [a + b for a, b in zip(out, column)]
-        return out
 
     def members(code, shifted):
         # a pivot is in when its entry of forced @ x_f + 1/2 is below 0
@@ -525,24 +517,19 @@ def _all_pivot_check(forced, pivots, free, sizes, mu):
             yield members(int(codes[row]), shifted[:, row].tolist())
 
     def check(codes):
-        if len(codes) <= _FEW_SURVIVORS:
-            codes = codes.tolist()
-            found = [(code, v) for code, v in zip(codes, map(values, codes))
-                     if all(abs(abs(a) - 0.5) <= mu for a in v)]
-        else:
-            # one column per assignment; a product of floats runs in BLAS
-            bits = (codes >> shifts) & 1
-            shifted = coupled.dot(bits.astype(float))
-            shifted += offset
-            dev = np.abs(shifted)
-            dev -= 0.5
-            np.abs(dev, out=dev)
-            rows = (dev.max(axis=0) <= mu).nonzero()[0]
-            kept[:] = bits, shifted, dev
-            if len(rows) > _FEW_SURVIVORS:
-                yield from ordered(bits, shifted, codes, rows)
-                return
-            found = zip(codes[rows].tolist(), shifted[:, rows].T.tolist())
+        # one column per assignment; a product of floats runs in BLAS
+        bits = (codes >> shifts) & 1
+        shifted = coupled.dot(bits.astype(float))
+        shifted += offset
+        dev = np.abs(shifted)
+        dev -= 0.5
+        np.abs(dev, out=dev)
+        rows = (dev.max(axis=0) <= mu).nonzero()[0]
+        kept[:] = bits, shifted, dev
+        if len(rows) > _FEW_SURVIVORS:
+            yield from ordered(bits, shifted, codes, rows)
+            return
+        found = zip(codes[rows].tolist(), shifted[:, rows].T.tolist())
         keyed = [(len(m), m[::-1], m) for m in starmap(members, found)
                  if len(m) in sizes]
         for *_, m in sorted(keyed):
@@ -576,12 +563,14 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
     # accepted subset passes every pivot, so any pivot may screen: one
     # chunk takes the first, and more chunks the pivot with the most
     # free entries above mu, which the fewest assignments pass.
-    screen = forced[0]
+    coupled = forced.take(free, axis=1)
+    offset = forced[:, 0] + 0.5
+    row = 0
     if high:
-        dense = (np.abs(forced.take(free, axis=1)) > mu).sum(axis=1)
-        screen = forced[dense.argmax()]
-    table = screen.take(free[:low]).dot(_bit_columns(low))
-    table += screen[0] + 0.5
+        row = (np.abs(coupled) > mu).sum(axis=1).argmax()
+    screen = coupled[row]
+    table = screen[:low].dot(_bit_columns(low))
+    table += offset[row]
     check = None  # set up at the first survivor of the screen
     blocks = 1 << len(high)
     best = None  # (size, positions descending), positions in cols, bound
@@ -591,7 +580,7 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
         dev = table
         if high:
             lift = ((np.arange(start, stop)[:, None] >> np.arange(len(high)))
-                    & 1).dot(screen.take(high))
+                    & 1).dot(screen[low:])
             dev = np.add.outer(lift, table).ravel()
         np.abs(dev, out=dev)
         dev -= 0.5
@@ -602,8 +591,8 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
             dev[-1] = 1.0
         flat = (dev <= mu).nonzero()[0]
         if len(flat):
-            check = check or _all_pivot_check(forced, pivots, free, sizes,
-                                              mu)
+            check = check or _all_pivot_check(coupled, offset, pivots, free,
+                                              sizes, mu)
             for members in check(flat + (start << low)):
                 key = len(members), members[::-1]
                 if best is not None and key >= best[0]:
