@@ -96,7 +96,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, starmap
+from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -470,72 +470,47 @@ def _pivot_reduction(coords, cols, n, bound, tol):
         gram, min(most, rank), (64.0 * margin) ** 2), margin, rounding)
 
 
-def _all_pivot_check(coupled, offset, pivots, free, sizes, mu):
-    """The check of screened assignments on every pivot.
+def _members(code, shifted, free, pivots):
+    """Member positions of assignment ``code`` (bit k for position
+    free[k]), ascending, with 0 always in; a pivot is in when its entry
+    of ``shifted`` = forced @ x_f + 1/2 is below 0."""
+    return sorted([0] + [f for j, f in enumerate(free) if code >> j & 1]
+                  + [p for p, v in zip(pivots, shifted) if v < 0.0])
 
-    ``coupled`` is forced on the ``free`` columns and ``offset`` is
-    forced's column 0 plus 1/2.  The returned function takes assignment
-    numbers (bit k for position free[k]) and yields, for each assignment
-    that passes and has a size in ``sizes``, its member positions (0 is
-    always in) by ascending (size, bitmask).  The assignments are checked
-    in one product.  A few survivors are ordered in plain Python by their
-    position lists from the highest position down; more are sorted once
-    by size and by their bitmask in words of 62 bits, highest word first,
-    and read one at a time.  Each call keeps its largest arrays until the
-    next call has made its own.  glibc's malloc serves blocks this large
-    by mmap and unmaps them when freed, or trims them off the top of the
-    heap, so freeing them at a chunk's end made the next chunk fault
-    every page in again.
+
+def _ordered(codes, bits, shifted, rows, free, pivots, sizes):
+    """Member positions of the assignments ``codes[rows]`` that have a
+    size in ``sizes``, by ascending (size, bitmask).
+
+    ``bits`` and ``shifted`` hold one column per assignment: its free
+    bits, and forced @ x_f + 1/2 on the pivots.  A few are ordered in
+    plain Python by their positions from the highest down; more are
+    sorted once by size and by their bitmask in words of 62 bits,
+    highest word first, and read one at a time.
     """
-    shifts = np.arange(len(free))[:, None]
-    offset = offset[:, None]
-    width = len(free) + len(pivots)
-    kept = []
-
-    def members(code, shifted):
-        # a pivot is in when its entry of forced @ x_f + 1/2 is below 0
-        return sorted([0] + [f for j, f in enumerate(free) if code >> j & 1]
-                      + [p for p, v in zip(pivots, shifted) if v < 0.0])
-
-    def ordered(bits, shifted, codes, rows):
-        negative = shifted < 0.0
-        kept.append(negative)
-        size = bits.sum(axis=0)
-        size += negative.sum(axis=0)
-        size += 1
-        rows = rows[np.isin(size[rows], sizes)]
-        keys = []
-        for low in range(0, width + 1, 62):
-            # position q weighs 2^(q - low) in the word from low
-            on, neg = (np.array([1 << q - low if low <= q < low + 62 else 0
-                                 for q in positions], dtype=np.int64)
-                       for positions in (free, pivots))
-            keys.append(on.dot(bits)[rows] + neg.dot(negative)[rows]
-                        + (low == 0))
-        # lexsort's last key sorts first
-        for row in rows[np.lexsort(keys + [size[rows]])]:
-            yield members(int(codes[row]), shifted[:, row].tolist())
-
-    def check(codes):
-        # one column per assignment; a product of floats runs in BLAS
-        bits = (codes >> shifts) & 1
-        shifted = coupled.dot(bits.astype(float))
-        shifted += offset
-        dev = np.abs(shifted)
-        dev -= 0.5
-        np.abs(dev, out=dev)
-        rows = (dev.max(axis=0) <= mu).nonzero()[0]
-        kept[:] = bits, shifted, dev
-        if len(rows) > _FEW_SURVIVORS:
-            yield from ordered(bits, shifted, codes, rows)
-            return
-        found = zip(codes[rows].tolist(), shifted[:, rows].T.tolist())
-        keyed = [(len(m), m[::-1], m) for m in starmap(members, found)
-                 if len(m) in sizes]
-        for *_, m in sorted(keyed):
-            yield m
-
-    return check
+    if len(rows) <= _FEW_SURVIVORS:
+        found = [_members(code, column, free, pivots) for code, column
+                 in zip(codes[rows].tolist(), shifted[:, rows].T.tolist())]
+        yield from sorted((m for m in found if len(m) in sizes),
+                          key=lambda m: (len(m), m[::-1]))
+        return
+    negative = shifted < 0.0
+    size = bits.sum(axis=0)
+    size += negative.sum(axis=0)
+    size += 1
+    rows = rows[np.isin(size[rows], sizes)]
+    keys = []
+    for low in range(0, len(free) + len(pivots) + 1, 62):
+        # position q weighs 2^(q - low) in the word from low
+        on, neg = (np.array([1 << q - low if low <= q < low + 62 else 0
+                             for q in positions], dtype=np.int64)
+                   for positions in (free, pivots))
+        keys.append(on.dot(bits)[rows] + neg.dot(negative)[rows]
+                    + (low == 0))
+    # lexsort's last key sorts first
+    for row in rows[np.lexsort(keys + [size[rows]])]:
+        yield _members(int(codes[row]), shifted[:, row].tolist(), free,
+                       pivots)
 
 
 def _reduction_search(entries, cols, sizes, bound, tol, reduction):
@@ -571,7 +546,7 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
     screen = coupled[row]
     table = screen[:low].dot(_bit_columns(low))
     table += offset[row]
-    check = None  # set up at the first survivor of the screen
+    shifts = np.arange(len(free))[:, None]
     blocks = 1 << len(high)
     best = None  # (size, positions descending), positions in cols, bound
     start, step = 0, 1
@@ -591,9 +566,20 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
             dev[-1] = 1.0
         flat = (dev <= mu).nonzero()[0]
         if len(flat):
-            check = check or _all_pivot_check(coupled, offset, pivots, free,
-                                              sizes, mu)
-            for members in check(flat + (start << low)):
+            # check the survivors on every pivot in one product of floats,
+            # one column per assignment.  These arrays, dev among them,
+            # stay bound until the next chunk rebinds them: freed at a
+            # chunk's end, their pages were returned and faulted in again
+            codes = flat + (start << low)
+            bits = (codes >> shifts) & 1
+            shifted = coupled.dot(bits.astype(float))
+            shifted += offset[:, None]
+            dev = np.abs(shifted)
+            dev -= 0.5
+            np.abs(dev, out=dev)
+            rows = (dev.max(axis=0) <= mu).nonzero()[0]
+            for members in _ordered(codes, bits, shifted, rows, free, pivots,
+                                    sizes):
                 key = len(members), members[::-1]
                 if best is not None and key >= best[0]:
                     break
@@ -765,7 +751,8 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     live = tuple(np.flatnonzero(np.any(entries, axis=0)).tolist())
     if len(live) < 2 * n:
         return [(len(live),)]  # prime unsearched, as in _first_divisor
-    _check_budget(n, force, _kernel_rows(phi.m, range(n, phi.m - n + 1)))
+    _check_budget(n, force,
+                  _kernel_rows(len(live), range(n, len(live) - n + 1)))
     # a part's complement check depends on the part alone, and a failed
     # one raises, so the masks of parts that passed are kept
     coords, memo, checked = _coordinates(entries), {}, set()

@@ -181,7 +181,7 @@ def canonical_parseval(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> FrameMatri
     inv_root = (eigvec * (1.0 / np.sqrt(eigval))) @ eigvec.conj().T
     out = inv_root @ phi.entries
     if phi.field == "real":
-        out = out.real.astype(np.complex128)
+        out = out.real
     return FrameMatrix(out, phi.field)
 
 
@@ -261,7 +261,7 @@ def random_tight_frame(n: int, m: int, seed: int) -> FrameMatrix:
         rng = np.random.default_rng([int(seed), attempt])
         rows = rng.standard_normal((n, m))
         if _orthonormalize_rows(rows):
-            return FrameMatrix(rows.astype(np.complex128), "real")
+            return FrameMatrix(rows, "real")
     raise FrameError("nine rank-deficient draws in a row; bad (n, m, seed)?")
 
 
@@ -294,7 +294,7 @@ def prime_parseval_extension(n: int, m: int) -> FrameMatrix:
     out[0, :width] = 1.0 / math.sqrt(width)
     for row in range(1, n):
         out[row, width + row - 1] = 1.0
-    return FrameMatrix(out.astype(np.complex128), "real")
+    return FrameMatrix(out, "real")
 
 
 def dft_row_frame(n: int, m: int) -> FrameMatrix:

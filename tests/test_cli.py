@@ -1,6 +1,8 @@
 import json
 import os
+import shlex
 import shutil
+import subprocess
 import sys
 
 import numpy as np
@@ -21,8 +23,8 @@ n,m,htf_prime,htf_prime_brute,stf_divisible,stf_divisible_brute,stf_lowred_feasi
 2,6,false,false,true,true,
 """
 
-PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                         "pyproject.toml")
+ROOT = os.path.dirname(os.path.dirname(__file__))
+PYPROJECT = os.path.join(ROOT, "pyproject.toml")
 
 
 def run_cli(capsys, argv):
@@ -430,6 +432,33 @@ def test_console_script_installed(tmp_path):
         proc = run_subprocess([exe, "htf", "--n", "3", "--m", "2"])
         assert proc.returncode == 1 and proc.stderr.startswith("error:")
         assert run_subprocess([exe, "bogus"]).returncode == 2
+
+
+def readme_commands() -> list:
+    """The lines of the sh block under README's "## Command line", with
+    comment and blank lines dropped."""
+    with open(os.path.join(ROOT, "README.md")) as handle:
+        text = handle.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def test_readme_command_block_runs(tmp_path, capsys, monkeypatch):
+    # every line, in order, from an empty directory; primeframes lines go
+    # through cli.main and the rest through sh
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert any(line.startswith("primeframes transform") for line in commands)
+    for line in commands:
+        argv = shlex.split(line, comments=True)
+        if argv[0] == "primeframes":
+            code, _, err = run_cli(capsys, argv[1:])
+        else:
+            proc = subprocess.run(line, shell=True, capture_output=True,
+                                  text=True)
+            code, err = proc.returncode, proc.stderr
+        assert code == 0, (line, err)
 
 
 def fuzzed_copies(text: bytes, rng) -> list:

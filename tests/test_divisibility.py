@@ -180,6 +180,10 @@ def test_prime_factor_size_multisets():
     assert prime_factor_size_multisets(hexagon_frame()) == [(3, 3)]
     assert prime_factor_size_multisets(mercedes_frame()) == [(3,)]
     assert prime_factor_size_multisets(htf(HtfParams(2, 4))) == [(2, 2)]
+    # zero columns are not listed, so they do not count toward the cap
+    padded = FrameMatrix.from_array(
+        np.hstack([htf(HtfParams(2, 10)).entries, np.zeros((2, 20))]))
+    assert prime_factor_size_multisets(padded) == [(2, 2, 2, 2, 2), (5, 5)]
 
 
 def test_tight_subsets_hexagon():
@@ -732,9 +736,9 @@ def test_proof_path_factorizations_match_the_kernel(tol, monkeypatch):
 
 
 def test_both_survivor_orders_agree(monkeypatch):
-    # the all-pivot check orders a few survivors in plain Python and more
-    # by numpy's sort; either way the same survivors come by ascending
-    # (size, bitmask).
+    # the survivors of the all-pivot check are ordered in plain Python
+    # when few and by numpy's sort when more; either way the same
+    # survivors come by ascending (size, bitmask).
     # stf(32, 64) has positions past 61, so its bitmask takes two words;
     # its 2^32 assignments are sampled
     rng = np.random.default_rng(0)
@@ -747,13 +751,17 @@ def test_both_survivor_orders_agree(monkeypatch):
         free = [i for i in range(1, phi.m) if i not in pivots]
         if codes is None:
             codes = np.arange(1 << len(free))
-        check = divisibility._all_pivot_check(
-            forced.take(free, axis=1), forced[:, 0] + 0.5, pivots, free,
-            range(phi.n, phi.m - phi.n + 1), mu)
+        # the all-pivot check of _reduction_search
+        bits = (codes >> np.arange(len(free))[:, None]) & 1
+        shifted = forced.take(free, axis=1).dot(bits.astype(float))
+        shifted += forced[:, :1] + 0.5
+        rows = (np.abs(np.abs(shifted) - 0.5).max(axis=0) <= mu).nonzero()[0]
         orders = []
         for few in (0, len(codes)):
             monkeypatch.setattr(divisibility, "_FEW_SURVIVORS", few)
-            orders.append(list(check(codes)))
+            orders.append(list(divisibility._ordered(
+                codes, bits, shifted, rows, free, pivots,
+                range(phi.n, phi.m - phi.n + 1))))
         keys = [(len(members), sum(1 << i for i in members))
                 for members in orders[0]]
         assert orders[0] == orders[1] and len(keys) >= 4
