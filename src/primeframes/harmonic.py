@@ -114,8 +114,10 @@ def _divisors(n: int, m: int) -> tuple:
 
     The largest proper divisor of d is d/r, r the smallest prime factor
     of d, and every divisor of d divides m, so d is minimal exactly when
-    d/r < n.
+    d/r < n.  Raises ValueError unless n >= 1 and m >= 1.
     """
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
     tops = [(1, 0)]     # (divisor, its largest proper divisor; 0 for 1)
     for q, e in reversed(prime_power_factorization(m)):
         tops = [(d * q ** k, d * q ** (k - 1) if k else top)
@@ -141,8 +143,6 @@ def _coset_twists(n: int, m: int, p: int) -> np.ndarray:
 
 def divisor_sets(n: int, m: int) -> DivisorSets:
     """Compute the divisor, minimal-divisor, and divisible-size sets."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
     divisors, minimal = _divisors(n, m)
     reach = reachable_sums(m, minimal)
     balanced = np.flatnonzero(reach & reach[::-1])

@@ -308,6 +308,9 @@ def test_transform_rejects_bad_factor_size(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["transform", "--n", "2", "--m", "10",
                                     "--p", "3", "--analyze", "--input", xpath])
     assert code == 1 and "minimal divisor" in err
+    code, _, err = run_cli(capsys, ["transform", "--n", "2", "--m", "0",
+                                    "--p", "1", "--analyze", "--input", xpath])
+    assert code == 1 and err == "error: need n >= 1 and m >= 1\n"
 
 
 def test_transform_requires_exactly_one_direction(tmp_path):

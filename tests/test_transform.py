@@ -7,6 +7,14 @@ from conftest import analyze_direct
 from primeframes import (HtfParams, analyze_fast, analyze_naive, htf, plan,
                          synthesize_fast)
 from primeframes.numtheory import prime_power_factorization
+from primeframes.transform import _PRODUCT_MAX_ENTRIES
+
+# Each side of the size rule: plans up to _PRODUCT_MAX_ENTRIES = n m
+# transform by one matrix product, larger ones per coset.  (8, 4096, 8)
+# sits at the constant and (9, 4096, 16) just above it; (100, 30030, 105)
+# has p > n, so its coset transforms are zero-padded.
+PRODUCT_SHAPES = ((3, 24, 3), (8, 1024, 8), (8, 4096, 8))
+COSET_SHAPES = ((9, 4096, 16), (64, 4096, 64), (100, 30030, 105))
 
 
 def seeded_signal(n, seed):
@@ -35,11 +43,14 @@ def test_plan_rejects_non_minimal_sizes():
         plan(2, 24, 4)
     with pytest.raises(ValueError):
         plan(2, 7, 7)
+    for n, m in ((2, 0), (0, 3), (2, -4)):
+        with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
+            plan(n, m, 1)
 
 
 def test_analyze_fast_matches_inner_products():
-    for n, m, p in ((2, 4, 2), (2, 10, 2), (2, 10, 5), (3, 24, 3),
-                    (3, 24, 4), (4, 24, 4), (4, 24, 6)):
+    for n, m, p in ((2, 4, 2), (2, 10, 2), (2, 10, 5), (3, 24, 4), (4, 24, 4),
+                    (4, 24, 6)) + PRODUCT_SHAPES + COSET_SHAPES:
         tplan = plan(n, m, p)
         entries = htf(HtfParams(n, m)).entries
         for seed in range(5):
@@ -50,7 +61,8 @@ def test_analyze_fast_matches_inner_products():
 
 
 def test_analyze_fast_matches_naive():
-    for n, m, p in ((2, 4, 2), (2, 10, 5), (3, 24, 4), (4, 24, 4)):
+    for n, m, p in ((2, 4, 2), (2, 10, 5), (3, 24, 4),
+                    (4, 24, 4)) + PRODUCT_SHAPES + COSET_SHAPES:
         tplan = plan(n, m, p)
         for seed in range(20):
             x = seeded_signal(n, seed)
@@ -75,7 +87,8 @@ def test_coefficients_follow_analysis_convention():
 
 
 def test_round_trip_reconstruction():
-    for n, m, p in ((2, 4, 2), (2, 10, 5), (3, 24, 4), (4, 24, 6)):
+    for n, m, p in ((2, 4, 2), (2, 10, 5), (3, 24, 4),
+                    (4, 24, 6)) + PRODUCT_SHAPES + COSET_SHAPES:
         tplan = plan(n, m, p)
         for seed in range(20):
             x = seeded_signal(n, seed)
@@ -84,7 +97,7 @@ def test_round_trip_reconstruction():
 
 
 def test_synthesize_matches_direct_sum():
-    for n, m, p in ((2, 10, 5), (3, 24, 3)):
+    for n, m, p in ((2, 10, 5), (3, 24, 3), (8, 4096, 8), (9, 4096, 16)):
         tplan = plan(n, m, p)
         entries = htf(HtfParams(n, m)).entries
         rng = np.random.default_rng(3)
@@ -94,7 +107,7 @@ def test_synthesize_matches_direct_sum():
 
 
 def test_batches_match_the_per_signal_loop_exactly():
-    for n, m, p in ((3, 24, 3), (100, 30030, 105)):
+    for n, m, p in ((3, 24, 3), (64, 4096, 64), (100, 30030, 105)):
         tplan = plan(n, m, p)
         xs = np.array([seeded_signal(n, seed) for seed in range(7)])
         coeffs = analyze_fast(tplan, xs)
@@ -112,9 +125,25 @@ def test_batches_match_the_per_signal_loop_exactly():
 def test_plan_arrays_are_read_only():
     tplan = plan(2, 10, 5)
     assert tplan.analysis_twist.shape == tplan.synthesis_twist.shape == (2, 2)
-    for a in (tplan.analysis_twist, tplan.synthesis_twist):
+    assert tplan.analysis_matrix.shape == (10, 2)
+    assert tplan.synthesis_matrix.shape == (2, 10)
+    for a in (tplan.analysis_twist, tplan.synthesis_twist,
+              tplan.analysis_matrix, tplan.synthesis_matrix):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def test_plan_takes_the_product_up_to_the_size_constant():
+    assert 8 * 4096 == _PRODUCT_MAX_ENTRIES < 9 * 4096
+    for n, m, p in PRODUCT_SHAPES:
+        tplan = plan(n, m, p)
+        # Phi* and (n/m) Phi of the unit-norm frame
+        phi = htf(HtfParams(n, m)).entries
+        assert np.max(np.abs(tplan.analysis_matrix - phi.conj().T)) < 1e-15
+        assert np.max(np.abs(tplan.synthesis_matrix - phi * (n / m))) < 1e-15
+    for n, m, p in COSET_SHAPES:
+        tplan = plan(n, m, p)
+        assert tplan.analysis_matrix is None and tplan.synthesis_matrix is None
 
 
 @st.composite
