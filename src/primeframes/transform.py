@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -70,8 +69,8 @@ class HtfTransformPlan:
     coset_count: int
     analysis_twist: np.ndarray
     synthesis_twist: np.ndarray
-    analysis_matrix: Optional[np.ndarray] = None
-    synthesis_matrix: Optional[np.ndarray] = None
+    analysis_matrix: np.ndarray | None = None
+    synthesis_matrix: np.ndarray | None = None
 
 
 def plan(n: int, m: int, p: int) -> HtfTransformPlan:
