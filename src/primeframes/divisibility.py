@@ -76,17 +76,18 @@ for complex frames.  Coordinates that stay at rounding level on every
 column lower that bound, and when they do, the largest-norm Gram matrix
 would be singular, so only the pivoted Cholesky choice is tried.
 
-A first-divisor search, over every size or some, runs the reduction
-when mu < 1/4 and it costs fewer kernel rows than the kernel's subset
-count for those sizes: 2^(m-r-1) rows plus its set-up, first with the
-most pivots possible (before the Gram matrix is built), then with the
-pivots found.  Its chunks start at 2^_LOW_BITS rows and double.  After
-a chunk with an accepted subset, it compares the rows it has left with
-the kernel rows that reach that subset (the smaller searched sizes in
-full, plus its colex rank, plus 1); when its own are more, it hands over
-to the kernel, which stops at the first certificate, at or before that
-subset.  So a frame rich in divisors pays one chunk and a short kernel
-search.  Otherwise, and to list every accepted subset, the kernel runs.
+Both paths yield accepted subsets in the kernel's order, and a
+first-divisor search, over every size or some, returns the first: the
+kernel yields them all (it alone lists them), the reduction the least
+one or, for a prime frame, none.  The search takes the reduction when mu
+< 1/4 and it costs fewer kernel rows than the kernel's subset count for
+those sizes: 2^(m-r-1) rows plus its set-up, first with the most pivots
+possible (before the Gram matrix is built), then with the pivots found.
+Its chunks start at 2^_LOW_BITS rows and double.  After a chunk with an
+accepted subset, it compares the rows it has left with the kernel rows
+that reach that subset (the smaller searched sizes in full, plus its
+colex rank, plus 1); when its own are more, it yields from the kernel,
+which reaches the first certificate at or before that subset.
 
 Unless forced, a search is refused over _BUDGET rows (no search of at
 most SEARCH_CAP vectors is) or SEARCH_CAP dimensions (before set-up).
@@ -103,6 +104,7 @@ import numpy as np
 
 from .errors import NotTightError, SearchCapError
 from .frames import DEFAULT_TOL, FrameMatrix, _bound_and_residual, _check_tol
+from .numtheory import is_int
 
 SEARCH_CAP = 26
 _BUDGET = 1 << (SEARCH_CAP - 1)
@@ -513,19 +515,17 @@ def _ordered(codes, bits, shifted, rows, free, pivots, sizes):
                        pivots)
 
 
-def _reduction_search(entries, cols, sizes, bound, tol, reduction):
-    """The first subset of ``cols`` that the exact rule accepts, found by
-    pivot reduction, or None when the kernel has to search.
+def _reduction_search(entries, cols, sizes, bound, tol, reduction, kernel):
+    """Pivot reduction's search of the subsets of ``cols`` that hold
+    cols[0] and have a size in ``sizes``, ascending: yields the least one
+    the exact rule accepts in the kernel's order (size, then ascending
+    bitmask), as (index list, subset bound), or nothing for a prime frame.
 
-    Subsets hold cols[0] and have a size in ``sizes``, ascending, and
-    ``reduction`` is ``_pivot_reduction`` of the frame on ``cols``.
-    Returns [] when no subset is accepted (the frame is prime) and
-    [(index list, subset bound)] for the least accepted subset in the
-    kernel's order (size, then ascending bitmask), the kernel's first
-    certificate; None when, after a chunk, its rows still to enumerate
-    outnumber the kernel rows up to the best subset so far.
-    Each chunk's survivors are re-decided in (size, bitmask) order, up
-    to the first accepted one.
+    ``reduction`` is ``_pivot_reduction`` of the frame on ``cols``.  Each
+    chunk's survivors are re-decided in that order, up to the first
+    accepted one.  When, after a chunk, its rows still to enumerate
+    outnumber the kernel rows up to the best subset so far, it yields
+    from ``kernel``, the kernel search of the same subsets, instead.
     """
     width = len(cols) - 1
     pivots, forced, mu = reduction
@@ -595,10 +595,10 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction):
             reach = _kernel_rows(width + 1, sizes[:sizes.index(len(members))])
             reach += sum(comb(p - 1, j) for j, p in enumerate(members) if j)
             if (blocks - start) << low > reach + 1:
-                return None
-    if best is None:
-        return []
-    return [([cols[i] for i in best[1]], best[2])]
+                yield from kernel
+                return
+    if best is not None:
+        yield [cols[i] for i in best[1]], best[2]
 
 
 def _first_divisor(entries, cols, bound, tol, force, coordinates=None,
@@ -610,8 +610,9 @@ def _first_divisor(entries, cols, bound, tol, force, coordinates=None,
     Subsets hold cols[0] and go by size, then ascending bitmask, over the
     ascending ``sizes``, by default every size in [n, len(cols) - n].
     Fewer than 2n columns are prime unsearched (the smaller part could
-    not span).  The search runs by pivot reduction when it costs fewer
-    kernel rows (``_check_budget`` gets the rows of the path taken).
+    not span).  The kernel's generator, which enumerates nothing until
+    asked, gives way to the reduction's when that costs fewer kernel
+    rows; ``_check_budget`` gets the rows of the path taken.
     ``coordinates(entries)`` is ``_coordinates(entries)``, by default.
     """
     n, width = entries.shape[0], len(cols) - 1
@@ -621,18 +622,16 @@ def _first_divisor(entries, cols, bound, tol, force, coordinates=None,
     coords = (coordinates or _coordinates)(entries)
     sizes = sizes or range(n, width - n + 2)
     rows = _kernel_rows(width + 1, sizes)
-    reduction = None
+    found = _tight_parts(entries, coords, cols, sizes, True, bound, tol)
     if tol < 1.0 and _reduction_rows(
             width, min(coords.shape[1] - 2, width)) < rows:
-        reduced = _pivot_reduction(coords, cols, n, bound, tol)
-        cost = reduced and _reduction_rows(width, len(reduced[0]))
+        reduction = _pivot_reduction(coords, cols, n, bound, tol)
+        cost = reduction and _reduction_rows(width, len(reduction[0]))
         if cost and cost < rows:
-            reduction, rows = reduced, cost
+            rows = cost
+            found = _reduction_search(entries, cols, sizes, bound, tol,
+                                      reduction, found)
     _check_budget(n, force, rows)
-    found = reduction and _reduction_search(entries, cols, sizes, bound,
-                                            tol, reduction)
-    if found is None:
-        found = _tight_parts(entries, coords, cols, sizes, True, bound, tol)
     for part, sub_bound in found:
         return part, sub_bound, _check_complement(entries, cols, part, tol)
     return None
@@ -651,7 +650,7 @@ def find_divisor(phi: FrameMatrix, size_filter: int | None = None,
     n, m = phi.n, phi.m
     sizes = None
     if size_filter is not None:
-        if not n <= size_filter <= m - n:
+        if not (is_int(size_filter) and n <= size_filter <= m - n):
             raise ValueError("size_filter must lie in [n, m - n]")
         sizes = sorted({size_filter, m - size_filter})
     found = _first_divisor(phi.entries, range(m), bound, tol, force,
@@ -671,8 +670,7 @@ def is_prime_bruteforce(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     verdict of checking every subset; a frame of fewer than 2n vectors is
     prime without a search.
     """
-    bound = _require_tight(phi.entries, tol)
-    return _first_divisor(phi.entries, range(phi.m), bound, tol, force) is None
+    return find_divisor(phi, tol=tol, force=force) is None
 
 
 def complement_certificate(phi: FrameMatrix, subset,
@@ -787,7 +785,7 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
 def tight_subsets(phi: FrameMatrix, size: int, tol: float = DEFAULT_TOL,
                   force: bool = False) -> list:
     """All subsets of the given size that are tight with positive bound."""
-    if not 1 <= size <= phi.m:
+    if not (is_int(size) and 1 <= size <= phi.m):
         raise ValueError("size out of range")
     _check_tol(tol)
     _check_budget(phi.n, force, _kernel_rows(phi.m, (size,), False))
@@ -807,7 +805,7 @@ def robustness_counterexample_check(phi: FrameMatrix, p: int,
     _require_tight(phi.entries, tol)
     if phi.n < 2:
         raise ValueError("needs dimension n >= 2")
-    if not phi.n <= p <= phi.m - phi.n:
+    if not (is_int(p) and phi.n <= p <= phi.m - phi.n):
         raise ValueError("p must lie in [n, m - n]")
     _check_budget(phi.n, force, _kernel_rows(phi.m, (p,), False))
     # the rule of tight_subsets, stopped at the first subset it refuses

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import PackingError, SearchCapError
 from .frames import FrameMatrix
-from .numtheory import prime_power_factorization, reachable_sums
+from .numtheory import (check_integers, prime_power_factorization,
+                        reachable_sums)
 
 # Dead ends (placed cosets taken back) allowed per representation in
 # htf_divisor_of_size before the representation is left undecided.
@@ -40,6 +41,7 @@ class HtfParams:
     s: float = 1.0
 
     def __post_init__(self):
+        check_integers(n=self.n, m=self.m)
         if not 1 <= self.n <= self.m:
             raise ValueError("need 1 <= n <= m")
         if not 0 < self.s < math.inf:
@@ -101,6 +103,7 @@ def index_coset(m: int, d: int, q: int) -> tuple:
     Requires d | m and 1 <= q <= m/d.  Harmonic frame columns on such a
     coset form a tight subset with bound s d / n.
     """
+    check_integers(m=m, d=d, q=q)
     if d < 1 or m % d != 0:
         raise ValueError("d must be a positive divisor of m")
     step = m // d
@@ -114,8 +117,9 @@ def _divisors(n: int, m: int) -> tuple:
 
     The largest proper divisor of d is d/r, r the smallest prime factor
     of d, and every divisor of d divides m, so d is minimal exactly when
-    d/r < n.  Raises ValueError unless n >= 1 and m >= 1.
+    d/r < n.  Raises ValueError unless n and m are integers >= 1.
     """
+    check_integers(n=n, m=m)
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     tops = [(1, 0)]     # (divisor, its largest proper divisor; 0 for 1)
@@ -134,6 +138,7 @@ def _coset_twists(n: int, m: int, p: int) -> np.ndarray:
     kernel onto index coset q.  Raises ValueError unless p is a minimal
     divisor size of (n, m).
     """
+    check_integers(p=p)
     if p not in _divisors(n, m)[1]:
         raise ValueError(
             "p = %d is not a minimal divisor size of (n, m) = (%d, %d)"
@@ -158,6 +163,7 @@ def is_balancing(m: int, k: int) -> bool:
     exactly the k for which some k-subset of the m-th roots of unity
     sums to zero along with its complement.
     """
+    check_integers(m=m, k=k)
     if m < 1 or not 0 <= k <= m:
         raise ValueError("need m >= 1 and 0 <= k <= m")
     primes = [p for p, _ in prime_power_factorization(m)]
@@ -172,6 +178,7 @@ def htf_is_prime(n: int, m: int) -> bool:
     [n, m - n].  For n = 1 every single vector is a tight subset, so the
     frame is divisible whenever m >= 2.
     """
+    check_integers(n=n, m=m)
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
     if n == 1:
@@ -255,6 +262,7 @@ def htf_divisor_of_size(params: HtfParams, size: int) -> tuple:
     packed and at least one representation was left undecided: no
     packing was found, but none was ruled out either.
     """
+    check_integers(size=size)
     n, m = params.n, params.m
     sets = divisor_sets(n, m)
     if size not in sets.divisible_sizes:
@@ -379,6 +387,7 @@ def htf_coherence(n: int, m: int) -> float:
     Equals (1/n) sin(pi n / m) / sin(pi / m), attained by adjacent
     columns; zero when m = n (an orthonormal basis up to phase).
     """
+    check_integers(n=n, m=m)
     if not 1 <= n <= m or m < 2:
         raise ValueError("need m >= n >= 1 and m >= 2")
     if m == n:
@@ -392,6 +401,7 @@ def vanishing_subsum_check(m: int, subset, power: int) -> bool:
     A subset of harmonic frame indices is tight exactly when this holds
     for every power 1..n-1.  Uses a fixed absolute tolerance of 1e-10.
     """
+    check_integers(m=m, power=power)
     if m < 1 or power < 1:
         raise ValueError("need m >= 1 and power >= 1")
     idx = sorted(int(j) for j in subset)

@@ -5,6 +5,20 @@ from __future__ import annotations
 import numpy as np
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool (an int
+    subclass) is not, nor is any other subclass of int."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def check_integers(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not an int
+    or a numpy integer in the sense of ``is_int``."""
+    for name, value in values.items():
+        if not is_int(value):
+            raise ValueError("%s must be an integer, not %r" % (name, value))
+
+
 def is_prime_int(k: int) -> bool:
     """Trial-division primality test for ordinary integers."""
     return k >= 2 and prime_power_factorization(k) == [(k, 1)]

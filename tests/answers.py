@@ -1,0 +1,144 @@
+"""Fingerprints of the subset searches' answers over a fixed corpus.
+
+For each entry point and each tol in 1e-13, 1e-9 and 1e-6 this prints a
+SHA-256 of the ``repr`` of every result or exception, frame by frame, so
+two trees can be compared line for line:
+
+    PYTHONPATH=<tree>/src python tests/answers.py
+
+The corpus holds seeded random frames (n = 2-4, m <= 20), harmonic
+frames (m <= 24), spectral tetris frames (n <= 12, 2n <= m <= 4n + 2),
+DFT-row and prime Parseval frames, stacks of ``np.eye`` and of a rotated
+basis, planted splits, frames with repeated or zero columns, and two
+refusals (a frame that is not tight, one over the search cap).  Entry
+points:
+``is_prime_bruteforce``; ``find_divisor`` unfiltered and at every valid
+``size_filter`` for m <= 16; ``prime_factorization``;
+``prime_factor_size_multisets`` for m <= 12; ``tight_subsets`` at every
+size for m <= 14.  It runs in about a minute.  pytest does not collect
+this file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import time
+
+import numpy as np
+
+from primeframes import (FrameMatrix, HtfParams, dft_row_frame, find_divisor,
+                         htf, is_prime_bruteforce,
+                         prime_factor_size_multisets, prime_factorization,
+                         prime_parseval_extension, random_tight_frame, stf,
+                         tight_subsets)
+
+TOLS = (1e-13, 1e-9, 1e-6)
+
+
+def planted(n, sizes, seed):
+    """Seeded tight frames of R^n side by side, columns shuffled."""
+    entries = np.hstack([random_tight_frame(n, a, seed + i).entries
+                         for i, a in enumerate(sizes)])
+    order = np.random.default_rng(seed).permutation(entries.shape[1])
+    return FrameMatrix.from_array(entries[:, order])
+
+
+def corpus() -> dict:
+    """Named frames, in a fixed order."""
+    frames = {}
+    for n in (2, 3, 4):
+        for m in range(2 * n, 21):
+            for seed in range(6):
+                frames["random(%d, %d, %d)" % (n, m, seed)] = (
+                    random_tight_frame(n, m, seed))
+    for n in (2, 3, 4, 5):
+        for m in range(2 * n, 25):
+            frames["htf(%d, %d)" % (n, m)] = htf(HtfParams(n, m))
+    for n in range(2, 13):
+        for m in range(2 * n, 4 * n + 3):
+            frames["stf(%d, %d)" % (n, m)] = stf(n, m)
+    for n in (2, 3, 4):
+        for p in (5, 7, 11, 13, 17, 19):
+            if p >= 2 * n:
+                frames["dft(%d, %d)" % (n, p)] = dft_row_frame(n, p)
+    for n, ms in ((2, range(5, 10)), (3, range(7, 14)), (4, range(9, 15))):
+        for m in ms:
+            frames["parseval(%d, %d)" % (n, m)] = (
+                prime_parseval_extension(n, m))
+    for n, top in ((2, 9), (3, 6), (4, 4)):
+        rotation = np.linalg.qr(
+            np.random.default_rng(n).standard_normal((n, n)))[0]
+        for k in range(2, top + 1):
+            for basis, name in ((np.eye(n), "eye"), (rotation, "rotated")):
+                frames["%s(%d) x %d" % (name, n, k)] = FrameMatrix.from_array(
+                    np.hstack([basis] * k))
+    for n, sizes in ((2, (4, 6)), (2, (5, 7)), (2, (8, 10)), (3, (6, 7)),
+                     (3, (4, 9)), (3, (7, 10)), (3, (10, 10)), (4, (8, 8)),
+                     (4, (5, 9)), (4, (10, 10)), (2, (3, 3, 4)),
+                     (3, (3, 4, 5)), (2, (2, 2, 2, 3))):
+        for seed in (1, 2, 3):
+            frames["planted(%d, %s, %d)" % (n, sizes, seed)] = planted(
+                n, sizes, seed)
+    for n, m, seed in ((2, 5, 0), (3, 7, 1), (3, 5, 2), (4, 7, 3)):
+        base = random_tight_frame(n, m, seed).entries
+        frames["repeated(%d, %d, %d)" % (n, m, seed)] = (
+            FrameMatrix.from_array(np.hstack([base, base])))
+    for name, phi, zeros in (("random(3, 11, 6)", random_tight_frame(3, 11, 6),
+                              3),
+                             ("htf(2, 10)", htf(HtfParams(2, 10)), 4),
+                             ("eye(2) x 4", FrameMatrix.from_array(
+                                 np.hstack([np.eye(2)] * 4)), 2)):
+        frames["%s + %d zero columns" % (name, zeros)] = FrameMatrix(
+            np.hstack([phi.entries, np.zeros((phi.n, zeros))]), phi.field)
+    # refusals: not tight, and over the search cap unforced
+    frames["not tight"] = FrameMatrix.from_columns([(1, 0), (0, 1), (1, 1)])
+    frames["random(3, 40, 0)"] = random_tight_frame(3, 40, 0)
+    return frames
+
+
+def outcome(call, *args, **kwargs) -> str:
+    try:
+        return repr(call(*args, **kwargs))
+    except Exception as exc:  # refusals are answers too
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def answers(frames: dict, tol: float) -> dict:
+    """Per entry point, one line per (frame, arguments) asked."""
+    out = {name: [] for name in (
+        "is_prime_bruteforce", "find_divisor", "find_divisor(size_filter)",
+        "prime_factorization", "prime_factor_size_multisets",
+        "tight_subsets")}
+    for key, phi in frames.items():
+        def ask(name, call, *args, **kwargs):
+            out[name].append("%s %s %s -> %s" % (
+                key, args, kwargs, outcome(call, phi, *args, **kwargs)))
+
+        ask("is_prime_bruteforce", is_prime_bruteforce, tol)
+        ask("find_divisor", find_divisor, tol=tol)
+        if phi.m <= 16:
+            for size in range(phi.n, phi.m - phi.n + 1):
+                ask("find_divisor(size_filter)", find_divisor,
+                    size_filter=size, tol=tol)
+        ask("prime_factorization", prime_factorization, tol)
+        if phi.m <= 12:
+            ask("prime_factor_size_multisets", prime_factor_size_multisets,
+                tol)
+        if phi.m <= 14:
+            for size in range(1, phi.m + 1):
+                ask("tight_subsets", tight_subsets, size, tol)
+    return out
+
+
+def main():
+    start = time.perf_counter()
+    frames = corpus()
+    for tol in TOLS:
+        for name, lines in answers(frames, tol).items():
+            digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            print("tol=%-6g %-28s %5d %s" % (tol, name, len(lines), digest))
+    print("%d frames in %.1f s" % (len(frames), time.perf_counter() - start))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,3 +1,4 @@
+import inspect
 import time
 import tracemalloc
 from itertools import combinations
@@ -73,6 +74,8 @@ def test_find_divisor_size_filter():
         find_divisor(phi, size_filter=1)
     with pytest.raises(ValueError):
         find_divisor(phi, size_filter=9)
+    with pytest.raises(ValueError):
+        find_divisor(phi, size_filter=2.0)
 
 
 def test_bound_split_sums_to_parent():
@@ -194,6 +197,8 @@ def test_tight_subsets_hexagon():
         tight_subsets(hexagon_frame(), 0)
     with pytest.raises(ValueError):
         tight_subsets(hexagon_frame(), 7)
+    with pytest.raises(ValueError):
+        tight_subsets(hexagon_frame(), 3.0)
 
 
 def test_robustness_counterexample_always_found(monkeypatch):
@@ -216,6 +221,8 @@ def test_robustness_counterexample_always_found(monkeypatch):
         robustness_counterexample_check(htf(HtfParams(1, 3)), 1)
     with pytest.raises(ValueError):
         robustness_counterexample_check(hexagon_frame(), 5)
+    with pytest.raises(ValueError):
+        robustness_counterexample_check(hexagon_frame(), 3.0)
     # C(30, 15) subsets are over the cap; forced, the first one answers
     big = htf(HtfParams(2, 30))
     with pytest.raises(SearchCapError):
@@ -647,14 +654,16 @@ def test_searches_reject_non_finite_tol():
 # --- the pivot-reduction proof against the kernel ---------------------------
 
 def kernel_only(monkeypatch):
-    """Patch the reduction path away, so every search runs the kernel
+    """Patch the pivot reduction away, so every search runs the kernel
     alone."""
-    monkeypatch.setattr(divisibility, "_reduction_search", lambda *args: None)
+    monkeypatch.setattr(divisibility, "_pivot_reduction", lambda *args: None)
 
 
 def no_kernel(*args):
-    """Stands in for the kernel where a search must not reach it."""
+    """Stands in for the kernel where a search must not enumerate it: a
+    generator that fails on its first row."""
     raise AssertionError("kernel ran")
+    yield
 
 
 def planted_split(n, a, b, seed):
@@ -861,16 +870,24 @@ def test_restricted_searches_take_the_reduction(monkeypatch):
 
 
 def test_reduction_hands_over_on_divisor_rich_frames():
-    # {1, 2, 3} is the first divisor of three copies of the standard
+    # {1, 2, 3} is the first divisor of six copies of the standard
     # basis: one kernel row reaches it, so after its first chunk the
-    # reduction hands over instead of enumerating 2^15 assignments
+    # reduction yields from the kernel instead of enumerating 2^15
+    # assignments
     phi = FrameMatrix.from_array(np.hstack([np.eye(3)] * 6))
     coords = _coordinates(phi.entries)
     reduction = divisibility._pivot_reduction(coords, range(18), 3, 6.0, 1e-9)
-    found = divisibility._reduction_search(
-        phi.entries, range(18), range(3, 16), 6.0, 1e-9, reduction)
-    assert found is None
     assert reduction is not None
+
+    def kernel():
+        return divisibility._tight_parts(phi.entries, coords, range(18),
+                                         range(3, 16), True, 6.0, 1e-9)
+
+    handed = kernel()
+    found = divisibility._reduction_search(
+        phi.entries, range(18), range(3, 16), 6.0, 1e-9, reduction, handed)
+    assert next(found) == next(kernel()) == ([0, 1, 2], 1.0)
+    assert inspect.getgeneratorstate(handed) == inspect.GEN_SUSPENDED
     assert find_divisor(phi).subset == (1, 2, 3)
 
 
@@ -975,8 +992,9 @@ def test_survivors_are_redecided_only_inside_the_mu_window(monkeypatch):
     pivots, forced, _ = reduction
     assert pivots[0] == 3 and np.allclose(forced[0, [1, 2]], -0.5)
     found, redecided = count_redecisions(
-        monkeypatch, lambda: divisibility._reduction_search(
-            entries, range(phi.m), sizes, bound, 1e-9, reduction))
+        monkeypatch, lambda: list(divisibility._reduction_search(
+            entries, range(phi.m), sizes, bound, 1e-9, reduction,
+            no_kernel())))
     part = [0] + list(range(4, 12))
     assert found == [(part, _bound_and_residual(entries[:, part])[0])]
     assert redecided == 1
@@ -1228,15 +1246,20 @@ def test_divisor_rich_frames_stay_fast(monkeypatch):
     frames = [FrameMatrix.from_array(np.hstack([np.eye(3)] * 6)),
               FrameMatrix.from_array(np.hstack([np.eye(2)] * 8)),
               htf(HtfParams(2, 16)), stf(4, 17)]
+    cases = [(call, phi, {}) for phi in frames
+             for call in (find_divisor, prime_factorization)]
+    # a size-restricted search that hands over.  Its traceless coordinates
+    # have rank 3, so the reduction takes 2^28 rows and the kernel
+    # C(31, 15), both over the search cap: it is forced
+    cases.append((find_divisor, FrameMatrix.from_array(
+        np.hstack([np.eye(4)] * 8)), {"size_filter": 16, "force": True}))
     got = []
-    for phi in frames:
-        for call in (find_divisor, prime_factorization):
-            seconds, value = best_time(lambda: call(phi))
-            assert seconds < 0.02, (call.__name__, phi.n, phi.m, seconds)
-            got.append(value)
+    for call, phi, kwargs in cases:
+        seconds, value = best_time(lambda: call(phi, **kwargs))
+        assert seconds < 0.02, (call.__name__, phi.n, phi.m, seconds)
+        got.append(value)
     kernel_only(monkeypatch)
-    assert got == [call(phi) for phi in frames
-                   for call in (find_divisor, prime_factorization)]
+    assert got == [call(phi, **kwargs) for call, phi, kwargs in cases]
 
 
 def test_size_class_tables_match_unranking(monkeypatch):

@@ -49,6 +49,31 @@ def test_htf_params_validation():
         HtfParams(2, 4, math.inf)
 
 
+NON_INTEGER_SHAPES = [
+    ("n", HtfParams, (2.5, 10)), ("n", HtfParams, (True, 3)),
+    ("m", HtfParams, (2, 10.0)), ("n", divisor_sets, (2.5, 10)),
+    ("n", htf_is_prime, (2.5, 10)), ("m", htf_is_prime, (1, 2.0)),
+    ("n", htf_coherence, (2.5, 10)),
+    ("m", vanishing_subsum_check, (10.0, [1, 6], 1)),
+    ("power", vanishing_subsum_check, (10, [1, 6], True)),
+    ("p", plan, (2, 10, 5.0)), ("p", plan, (64, 4096, 64.0)),
+    ("m", index_coset, (10.0, 5, 1)), ("m", is_balancing, (10.0, 3)),
+    ("size", htf_divisor_of_size, (HtfParams(2, 10), 4.0)),
+]
+
+
+@pytest.mark.parametrize("name, call, args", NON_INTEGER_SHAPES,
+                         ids=["%s%s" % (call.__name__, args)
+                              for _, call, args in NON_INTEGER_SHAPES])
+def test_shape_parameters_must_be_integers(name, call, args):
+    # np.arange(2.5) has three entries, so a float n once built a 3-row
+    # frame; numpy integers stay accepted
+    with pytest.raises(ValueError, match="^%s must be an integer" % name):
+        call(*args)
+    assert htf(HtfParams(np.int64(2), np.int32(10))).m == 10
+    assert plan(np.int64(2), 10, np.int64(5)).factor_size == 5
+
+
 def test_htf_matrix_values():
     phi = htf(HtfParams(2, 4))
     root = math.sqrt(0.5)
