@@ -1,11 +1,17 @@
 """Command-line interface.
 
-Every subcommand is a thin adapter over one library call and writes a
-machine-readable payload (JSON by default, CSV for matrices on request)
-to stdout or --output.  Exit codes: 0 on success, 1 on a domain error
-(infeasible construction, non-tight input, bad parameters, a refused
-search, no memory), 2 on a usage error.  FRAMES_TOL, when set, overrides
-the default tightness tolerance of 1e-9 wherever --tol is not given.
+htf, stf, random and extendprime build a frame through one handler;
+sets, factor and transform write what their library calls return.  The
+rest do more than one call: analyze adds equiangularity and, with
+--factor, a prime factorization to the tightness check; grid checks the
+closed forms against the subset search; bench times the fast transform
+against the size-m reference, and stays until its removal, an open
+ROADMAP item, is confirmed.  Every subcommand writes a machine-readable
+payload (JSON by default, CSV for matrices on request) to stdout or
+--output.  Exit codes: 0 on success, 1 on a domain error (infeasible
+construction, non-tight input, bad parameters, a refused search, no
+memory), 2 on a usage error.  FRAMES_TOL, when set, overrides the
+default tightness tolerance of 1e-9 wherever --tol is not given.
 """
 
 from __future__ import annotations
@@ -23,14 +29,16 @@ from .divisibility import (is_prime_bruteforce, prime_factor_size_multisets,
                            prime_factorization)
 from .errors import FrameError, NotTightError
 from .frames import (DEFAULT_TOL, _check_tol, check_equiangular, check_tight,
-                     prime_parseval_extension, random_tight_frame, welch_bound)
+                     prime_parseval_extension, random_tight_frame)
 from .harmonic import HtfParams, divisor_sets, htf, htf_is_prime
 from .tetris import (stf, stf_is_divisible, stf_low_redundancy,
                      stf_low_redundancy_feasible)
 from .transform import analyze_fast, analyze_naive, plan, synthesize_fast
 
 
-def _default_tol() -> float:
+def _tol(args) -> float:
+    if args.tol is not None:
+        return args.tol
     raw = os.environ.get("FRAMES_TOL")
     if raw is None:
         return DEFAULT_TOL
@@ -54,36 +62,17 @@ def _emit_frame(phi, args):
 
 
 def _emit_obj(obj, args):
-    _write(io.dumps(obj) + "\n", getattr(args, "output", None))
+    _write(io.dumps(obj) + "\n", args.output)
 
 
-def cmd_htf(args):
-    _emit_frame(htf(HtfParams(args.n, args.m, args.s)), args)
-    return 0
-
-
-def cmd_stf(args):
-    if args.low_redundancy:
-        phi = stf_low_redundancy(args.n, args.m)
-    else:
-        phi = stf(args.n, args.m)
-    _emit_frame(phi, args)
-    return 0
-
-
-def cmd_random(args):
-    _emit_frame(random_tight_frame(args.n, args.m, args.seed), args)
-    return 0
-
-
-def cmd_extendprime(args):
-    _emit_frame(prime_parseval_extension(args.n, args.m), args)
+def cmd_frame(args):
+    _emit_frame(args.build(args), args)
     return 0
 
 
 def cmd_analyze(args):
     phi = io.read_frame(args.input)
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _tol(args)
     report = check_tight(phi, tol)
     if not report.is_tight:
         raise NotTightError(
@@ -105,8 +94,7 @@ def cmd_analyze(args):
         payload["is_equiangular"] = angles.is_equiangular
         payload["common_angle"] = angles.common_angle
         payload["max_abs_inner"] = angles.max_abs_inner
-        payload["welch_bound"] = (
-            welch_bound(phi.n, phi.m) if phi.m >= phi.n else None)
+        payload["welch_bound"] = angles.welch_bound if phi.m >= phi.n else None
     if args.factor:
         payload.update(prime_factorization(phi, tol, args.force).to_json_obj())
     _emit_obj(payload, args)
@@ -115,7 +103,7 @@ def cmd_analyze(args):
 
 def cmd_factor(args):
     phi = io.read_frame(args.input)
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _tol(args)
     payload = prime_factorization(phi, tol, args.force).to_json_obj()
     if args.all_minimal:
         payload["size_multisets"] = [
@@ -224,62 +212,60 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--force", action="store_true",
                         help="allow searches over the search cap")
     search.add_argument("--output", default=None)
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--n", type=int, required=True)
+    shape.add_argument("--m", type=int, required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", required=True)
+    source.add_argument("--tol", type=float, default=None)
 
-    sub = subs.add_parser("htf", help="harmonic tight frame matrix")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
+    sub = subs.add_parser("htf", parents=[shape],
+                          help="harmonic tight frame matrix")
     sub.add_argument("--s", type=float, default=1.0)
     _add_frame_output(sub)
-    sub.set_defaults(handler=cmd_htf)
+    sub.set_defaults(handler=cmd_frame,
+                     build=lambda a: htf(HtfParams(a.n, a.m, a.s)))
 
-    sub = subs.add_parser("stf", help="sparse (spectral tetris) tight frame")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
+    sub = subs.add_parser("stf", parents=[shape],
+                          help="sparse (spectral tetris) tight frame")
     sub.add_argument("--low-redundancy", action="store_true",
                      help="use the n < m < 2n construction")
     _add_frame_output(sub)
-    sub.set_defaults(handler=cmd_stf)
+    sub.set_defaults(handler=cmd_frame, build=lambda a: (
+        stf_low_redundancy if a.low_redundancy else stf)(a.n, a.m))
 
-    sub = subs.add_parser("random", help="random real tight frame, bound 1")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
+    sub = subs.add_parser("random", parents=[shape],
+                          help="random real tight frame, bound 1")
     sub.add_argument("--seed", type=int, required=True)
     _add_frame_output(sub)
-    sub.set_defaults(handler=cmd_random)
+    sub.set_defaults(handler=cmd_frame,
+                     build=lambda a: random_tight_frame(a.n, a.m, a.seed))
 
-    sub = subs.add_parser("extendprime",
+    sub = subs.add_parser("extendprime", parents=[shape],
                           help="prime Parseval frame of m vectors in R^n")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
     _add_frame_output(sub)
-    sub.set_defaults(handler=cmd_extendprime)
+    sub.set_defaults(handler=cmd_frame,
+                     build=lambda a: prime_parseval_extension(a.n, a.m))
 
-    sub = subs.add_parser("analyze", parents=[search],
+    sub = subs.add_parser("analyze", parents=[search, source],
                           help="diagnostics for a tight frame file")
-    sub.add_argument("--input", required=True)
-    sub.add_argument("--tol", type=float, default=None)
     sub.add_argument("--factor", action="store_true",
                      help="include a prime factorization")
     sub.set_defaults(handler=cmd_analyze)
 
-    sub = subs.add_parser("factor", parents=[search],
+    sub = subs.add_parser("factor", parents=[search, source],
                           help="prime factorization of a tight frame")
-    sub.add_argument("--input", required=True)
-    sub.add_argument("--tol", type=float, default=None)
     sub.add_argument("--all-minimal", action="store_true",
                      help="also enumerate all factor-size multisets")
     sub.set_defaults(handler=cmd_factor)
 
-    sub = subs.add_parser("sets", help="divisor size sets of a harmonic frame")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
+    sub = subs.add_parser("sets", parents=[shape],
+                          help="divisor size sets of a harmonic frame")
     sub.add_argument("--output", default=None)
     sub.set_defaults(handler=cmd_sets)
 
-    sub = subs.add_parser("transform",
+    sub = subs.add_parser("transform", parents=[shape],
                           help="fast harmonic analysis or synthesis")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--p", type=int, required=True)
     direction = sub.add_mutually_exclusive_group(required=True)
     direction.add_argument("--analyze", action="store_true")
@@ -288,10 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_frame_output(sub)
     sub.set_defaults(handler=cmd_transform)
 
-    sub = subs.add_parser("bench", help="time the fast path against the "
-                                        "size-m reference transform")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
+    sub = subs.add_parser("bench", parents=[shape],
+                          help="time the fast path against the "
+                               "size-m reference transform")
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--trials", type=int, required=True)
     sub.add_argument("--seed", type=int, required=True)

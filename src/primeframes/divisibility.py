@@ -91,6 +91,9 @@ which reaches the first certificate at or before that subset.
 
 Unless forced, a search is refused over _BUDGET rows (no search of at
 most SEARCH_CAP vectors is) or SEARCH_CAP dimensions (before set-up).
+The rows counted are the whole enumeration of the path taken, so a
+size-restricted search whose first rows hold a certificate can still be
+refused.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, InfeasibleError, NotTightError
-from .numtheory import is_prime_int
+from .numtheory import check_integers, is_prime_int
 
 DEFAULT_TOL = 1e-9
 
@@ -197,6 +197,7 @@ def coherence(phi: FrameMatrix) -> float:
 
 def welch_bound(n: int, m: int) -> float:
     """Lower bound sqrt((m-n)/(n(m-1))) on the coherence of m unit vectors."""
+    check_integers(n=n, m=m)
     if n < 1 or m < max(n, 2):
         raise ValueError("need m >= n >= 1 and m >= 2")
     return math.sqrt((m - n) / (n * (m - 1.0)))
@@ -255,6 +256,7 @@ def random_tight_frame(n: int, m: int, seed: int) -> FrameMatrix:
     Deterministic in (n, m, seed).  A rank-deficient draw is rejected and
     redrawn under a fresh sub-seed; after 8 retries an error is raised.
     """
+    check_integers(n=n, m=m, seed=seed)
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
     for attempt in range(9):
@@ -287,6 +289,7 @@ def prime_parseval_extension(n: int, m: int) -> FrameMatrix:
     the identity.  In dimension 1 every non-zero vector is already a
     tight subset, so no collection of m >= 2 vectors can be prime there.
     """
+    check_integers(n=n, m=m)
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
     width = m - n + 1
@@ -303,6 +306,7 @@ def dft_row_frame(n: int, m: int) -> FrameMatrix:
     Prime m makes every proper subset of columns non-tight, so the result
     is a prime unit-norm tight frame with bound m/n.
     """
+    check_integers(n=n, m=m)
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
     if not is_prime_int(m):

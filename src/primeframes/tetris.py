@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import FrameError, InfeasibleError
 from .frames import FrameMatrix
+from .numtheory import check_integers
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,7 @@ class StfFactorization(NamedTuple):
 
 
 def _check_standard(n: int, m: int):
+    check_integers(n=n, m=m)
     if n < 1 or m < 2 * n:
         raise ValueError("need n >= 1 and m >= 2n")
 
@@ -164,6 +166,7 @@ def stf_low_redundancy_feasible(n: int, m_tilde: int) -> bool:
     orthonormal basis out of it leaves the low-redundancy frame.  That
     is, iff (2n - m_tilde) | n.
     """
+    check_integers(n=n, m_tilde=m_tilde)
     if not n < m_tilde < 2 * n:
         raise ValueError("need n < m_tilde < 2n")
     return stf_is_divisible(n, m_tilde + n)
@@ -175,6 +178,7 @@ def stf_low_redundancy(n: int, m_tilde: int) -> FrameMatrix:
     Raises InfeasibleError when no such tetris frame exists (some row
     budget would go negative).
     """
+    check_integers(n=n, m_tilde=m_tilde)
     if not n < m_tilde < 2 * n:
         raise ValueError("need n < m_tilde < 2n")
     return _assemble(n, m_tilde)[0]

@@ -58,6 +58,75 @@ def test_parser_reused_across_calls_in_one_process(capsys):
     assert capsys.readouterr().out == build_parser().format_help()
 
 
+# per subcommand: a minimal valid argv, its usage line at 200 columns, and
+# the options it parses to, in the order the parser declares them
+CLI_SURFACE = [
+    (["htf", "--n", "2", "--m", "4"],
+     "usage: primeframes htf [-h] --n N --m M [--s S] [--format {json,csv}] "
+     "[--output OUTPUT]",
+     "command='htf', n=2, m=4, s=1.0, format='json', output=None"),
+    (["stf", "--n", "4", "--m", "11"],
+     "usage: primeframes stf [-h] --n N --m M [--low-redundancy] "
+     "[--format {json,csv}] [--output OUTPUT]",
+     "command='stf', n=4, m=11, low_redundancy=False, format='json', "
+     "output=None"),
+    (["random", "--n", "3", "--m", "8", "--seed", "0"],
+     "usage: primeframes random [-h] --n N --m M --seed SEED "
+     "[--format {json,csv}] [--output OUTPUT]",
+     "command='random', n=3, m=8, seed=0, format='json', output=None"),
+    (["extendprime", "--n", "3", "--m", "7"],
+     "usage: primeframes extendprime [-h] --n N --m M [--format {json,csv}] "
+     "[--output OUTPUT]",
+     "command='extendprime', n=3, m=7, format='json', output=None"),
+    (["analyze", "--input", "f.json"],
+     "usage: primeframes analyze [-h] [--force] [--output OUTPUT] "
+     "--input INPUT [--tol TOL] [--factor]",
+     "command='analyze', force=False, output=None, input='f.json', "
+     "tol=None, factor=False"),
+    (["factor", "--input", "f.json"],
+     "usage: primeframes factor [-h] [--force] [--output OUTPUT] "
+     "--input INPUT [--tol TOL] [--all-minimal]",
+     "command='factor', force=False, output=None, input='f.json', "
+     "tol=None, all_minimal=False"),
+    (["sets", "--n", "3", "--m", "24"],
+     "usage: primeframes sets [-h] --n N --m M [--output OUTPUT]",
+     "command='sets', n=3, m=24, output=None"),
+    (["transform", "--n", "2", "--m", "10", "--p", "5", "--analyze",
+      "--input", "x.json"],
+     "usage: primeframes transform [-h] --n N --m M --p P "
+     "(--analyze | --synthesize) --input INPUT [--format {json,csv}] "
+     "[--output OUTPUT]",
+     "command='transform', n=2, m=10, p=5, analyze=True, synthesize=False, "
+     "input='x.json', format='json', output=None"),
+    (["bench", "--n", "3", "--m", "24", "--p", "4", "--trials", "100",
+      "--seed", "0"],
+     "usage: primeframes bench [-h] --n N --m M --p P --trials TRIALS "
+     "--seed SEED [--output OUTPUT]",
+     "command='bench', n=3, m=24, p=4, trials=100, seed=0, output=None"),
+    (["grid", "--nmax", "3", "--mmax", "12"],
+     "usage: primeframes grid [-h] [--force] [--output OUTPUT] "
+     "--nmax NMAX --mmax MMAX [--format {json,csv}]",
+     "command='grid', force=False, output=None, nmax=3, mmax=12, "
+     "format='json'"),
+]
+
+
+@pytest.mark.parametrize("argv, usage, options", CLI_SURFACE,
+                         ids=[argv[0] for argv, _, _ in CLI_SURFACE])
+def test_cli_surface_is_pinned(capsys, monkeypatch, argv, usage, options):
+    # a dropped, renamed or reordered option changes the usage line, and
+    # a new default changes the parsed options; the handler functions
+    # that set_defaults attaches are not options and are left out
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == usage
+    parsed = vars(build_parser().parse_args(argv))
+    assert ", ".join("%s=%r" % item for item in parsed.items()
+                     if not callable(item[1])) == options
+
+
 def test_htf_json_to_stdout(capsys):
     code, out, err = run_cli(capsys, ["htf", "--n", "2", "--m", "4"])
     assert code == 0 and err == ""

@@ -8,10 +8,14 @@ import pytest
 
 from primeframes import (DivisorSets, FrameMatrix, HtfParams, PackingError,
                          SearchCapError, check_tight, coherence,
-                         complement_certificate, divisor_sets, htf,
-                         htf_coherence, htf_divisor_of_size, htf_is_prime,
-                         htf_prime_factors, index_coset, is_balancing,
-                         is_prime_bruteforce, plan, vanishing_subsum_check)
+                         complement_certificate, dft_row_frame, divisor_sets,
+                         htf, htf_coherence, htf_divisor_of_size,
+                         htf_is_prime, htf_prime_factors, index_coset,
+                         is_balancing, is_prime_bruteforce, plan,
+                         prime_parseval_extension, random_tight_frame, stf,
+                         stf_factorize, stf_is_divisible, stf_low_redundancy,
+                         stf_low_redundancy_feasible, stf_schedule,
+                         vanishing_subsum_check, welch_bound)
 from primeframes import harmonic
 from primeframes.harmonic import _representations, _root_powers
 from primeframes.numtheory import (is_prime_int, prime_power_factorization,
@@ -59,6 +63,14 @@ NON_INTEGER_SHAPES = [
     ("p", plan, (2, 10, 5.0)), ("p", plan, (64, 4096, 64.0)),
     ("m", index_coset, (10.0, 5, 1)), ("m", is_balancing, (10.0, 3)),
     ("size", htf_divisor_of_size, (HtfParams(2, 10), 4.0)),
+    ("n", stf, (3.0, 7)), ("m", stf_schedule, (3, 7.0)),
+    ("n", stf_factorize, (True, 7)), ("m", stf_is_divisible, (2, 7.5)),
+    ("n", stf_low_redundancy_feasible, (3.0, 4)),
+    ("m_tilde", stf_low_redundancy, (4, 6.0)),
+    ("n", random_tight_frame, (2.0, 5, 0)),
+    ("seed", random_tight_frame, (2, 5, 0.5)),
+    ("m", prime_parseval_extension, (2, 5.0)),
+    ("n", dft_row_frame, (2.0, 5)), ("m", welch_bound, (2, 5.0)),
 ]
 
 
@@ -72,6 +84,8 @@ def test_shape_parameters_must_be_integers(name, call, args):
         call(*args)
     assert htf(HtfParams(np.int64(2), np.int32(10))).m == 10
     assert plan(np.int64(2), 10, np.int64(5)).factor_size == 5
+    assert stf(np.int64(3), np.int32(7)).m == 7
+    assert random_tight_frame(np.int64(2), 5, np.uint64(0)).m == 5
 
 
 def test_htf_matrix_values():
