@@ -107,7 +107,7 @@ import numpy as np
 
 from .errors import NotTightError, SearchCapError
 from .frames import DEFAULT_TOL, FrameMatrix, _bound_and_residual, _check_tol
-from .numtheory import is_int
+from .numtheory import check_integers, is_int
 
 SEARCH_CAP = 26
 _BUDGET = 1 << (SEARCH_CAP - 1)
@@ -680,6 +680,9 @@ def complement_certificate(phi: FrameMatrix, subset,
                            tol: float = DEFAULT_TOL) -> DivisorCertificate:
     """Certificate for a known divisor subset, re-verifying both halves."""
     bound = _require_tight(phi.entries, tol)
+    subset = tuple(subset)
+    for i in subset:
+        check_integers(subset=i)
     subset = tuple(sorted(int(i) for i in subset))
     if len(set(subset)) != len(subset):
         raise ValueError("subset has repeated indices")

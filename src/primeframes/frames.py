@@ -66,19 +66,23 @@ class FrameMatrix:
 
     def column(self, i: int) -> np.ndarray:
         """Frame vector number i (1-based)."""
+        check_integers(i=i)
         if not 1 <= i <= self.m:
             raise ValueError("column index out of range")
         return self.entries[:, i - 1]
 
     def submatrix(self, indices) -> "FrameMatrix":
         """Sub-frame on the given 1-based column indices, order preserved."""
-        idx = [int(i) for i in indices]
+        idx = list(indices)
+        for i in idx:
+            check_integers(indices=i)
         if len(idx) == 0:
             raise ValueError("empty index set")
         for i in idx:
             if not 1 <= i <= self.m:
                 raise ValueError("column index out of range")
-        return FrameMatrix(self.entries[:, [i - 1 for i in idx]], self.field)
+        return FrameMatrix(self.entries[:, [int(i) - 1 for i in idx]],
+                           self.field)
 
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.entries, axis=0)
@@ -259,6 +263,8 @@ def random_tight_frame(n: int, m: int, seed: int) -> FrameMatrix:
     check_integers(n=n, m=m, seed=seed)
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     for attempt in range(9):
         rng = np.random.default_rng([int(seed), attempt])
         rows = rng.standard_normal((n, m))

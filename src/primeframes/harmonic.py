@@ -9,9 +9,11 @@ column norms sqrt(s).  Every arithmetic index coset whose size d divides
 m and lies in [n, m - n] is a tight subset, so primality, the divisor
 size sets, explicit divisors and the factors along cosets reduce to
 integer arithmetic on the divisors of m; no floating-point tolerance is
-involved.  Not every tight subset is a union of cosets: in the frame on
-(2, 30) the subset (6, 7, 13, 19, 25, 26) is tight, and so is its
-complement, yet it contains no coset of size 2, 3 or 5.
+involved.  An explicit divisor of size s is a disjoint union of cosets,
+packed on the smaller of s and m - s first; a packing of m - s gives
+its complement.  Not every tight subset is a union of cosets: in the
+frame on (2, 30) the subset (6, 7, 13, 19, 25, 26) is tight, and so is
+its complement, yet it contains no coset of size 2, 3 or 5.
 """
 
 from __future__ import annotations
@@ -241,20 +243,18 @@ def htf_divisor_of_size(params: HtfParams, size: int) -> tuple:
     """A tight subset of the given cardinality, as sorted 1-based indices.
 
     The subset is assembled as a disjoint union of index cosets whose
-    sizes are minimal divisors summing to ``size``.  Representations are
-    tried with fewest cosets first (larger cosets breaking ties) and the
-    shifts are packed by depth-first search, smallest shift first, so
-    the result is deterministic.  The search drops a branch as soon as
-    a counting test proves that the cosets still to place cannot fit
-    (see ``_pack_cosets``).  The tests never cut off a packing, so the
-    first packing found is the one the unpruned search finds first.  A
-    representation may take back at most PACK_NODE_CAP placed cosets;
-    one that reaches the cap is left undecided and the next is tried.
-
-    When no packing of ``size`` is found, the complement size m - size
-    (also divisible) is packed instead and the sorted complement of that
-    packing is returned: in a harmonic frame the complement of a tight
-    subset is tight, since S_J + S_{J^c} = A I.
+    sizes are minimal divisors.  In a harmonic frame the complement of a
+    tight subset is tight, since S_J + S_{J^c} = A I, so the smaller of
+    ``size`` and m - size (also divisible) is packed first and the other
+    second: a packing of ``size`` is returned as it is, and one of
+    m - size by its sorted complement.  The smaller side has far fewer
+    representations, and far fewer ways to collide, so it packs or is
+    refuted quickly.  Each side tries its representations with fewest
+    cosets first (larger cosets breaking ties) and packs the shifts by
+    depth-first search, smallest shift first, so the result is
+    deterministic (see ``_pack_cosets``).  A representation may take
+    back at most PACK_NODE_CAP placed cosets; one that reaches the cap
+    is left undecided and the next is tried.
 
     Raises ValueError when ``size`` is not a divisible size at all and
     PackingError when every representation of both sizes is proved to
@@ -268,19 +268,21 @@ def htf_divisor_of_size(params: HtfParams, size: int) -> tuple:
     if size not in sets.divisible_sizes:
         raise ValueError("size %d is not a divisible size for (%d, %d)"
                          % (size, n, m))
-    packed, undecided = _pack_size(m, size, sets.minimal_divisors)
-    if packed is not None:
-        return packed
-    packed, more = _pack_size(m, m - size, sets.minimal_divisors)
-    if packed is not None:
+    undecided = 0
+    for side in sorted({size, m - size}):
+        packed, capped = _pack_size(m, side, sets.minimal_divisors)
+        undecided += capped
+        if packed is None:
+            continue
+        if side == size:
+            return packed
         taken = set(packed)
         return tuple(i for i in range(1, m + 1) if i not in taken)
-    if undecided or more:
+    if undecided:
         raise SearchCapError(
             "no coset packing of size %d or %d for (n, m) = (%d, %d) "
             "found; %d representations reached the cap of %d backtracks "
-            "undecided" % (size, m - size, n, m, undecided + more,
-                           PACK_NODE_CAP))
+            "undecided" % (size, m - size, n, m, undecided, PACK_NODE_CAP))
     raise PackingError(
         "no disjoint coset packing of size %d or %d for (n, m) = (%d, %d)"
         % (size, m - size, n, m))
@@ -308,42 +310,25 @@ def _pack_cosets(m: int, parts) -> tuple | None:
     Depth-first over shifts in increasing order; equal-size cosets are
     forced into increasing shift order to skip symmetric retries.  The
     d-coset at 0-based shift r is the residue class r mod m/d of Z_m.
-    After each placement two tests check the parts still to place, and
-    the branch is dropped when either fails:
-
-    - for each size d, the free d-cosets (at shifts the order allows)
-      must be at least as many as the d-parts left;
-    - a d-coset at shift q and an e-coset at shift r meet exactly when
-      q = r mod g, g = gcd(m/d, m/e), so the d-parts and the e-parts
-      need disjoint sets of classes mod g.  The fewest classes that can
-      hold each size's parts, added up, must not exceed the number of
-      classes where either size has a free coset.
-
-    Both tests only reject states that have no completion.  Raises
-    SearchCapError once PACK_NODE_CAP placements have been taken back.
+    After each placement a counting test checks the parts still to
+    place: for each size d, the free d-cosets (at shifts the order
+    allows) must be at least as many as the d-parts left, or the branch
+    is dropped.  The test only rejects states that have no completion,
+    so the first packing found is the one the unpruned search finds
+    first.  Raises SearchCapError once PACK_NODE_CAP placements have
+    been taken back.
     """
     used = np.zeros(m, dtype=bool)
-    sizes = sorted(set(parts), reverse=True)
-    pairs = [(d, e, math.gcd(m // d, m // e))
-             for k, d in enumerate(sizes) for e in sizes[k + 1:]]
     left = [Counter(parts[i:]) for i in range(len(parts))]
 
     def candidates(i, lo):
-        """The free shifts >= lo for parts[i], or None when the tests show
+        """The free shifts >= lo for parts[i], or None when the test shows
         that parts[i:] cannot fit."""
         need = left[i]
         room = {d: ~used.reshape(d, m // d).any(axis=0) for d in need}
         room[parts[i]][:lo] = False
         if any(np.count_nonzero(room[d]) < k for d, k in need.items()):
             return None
-        for d, e, g in pairs:
-            if d in need and e in need:
-                hosts_d = room[d].reshape(-1, g).sum(axis=0)
-                hosts_e = room[e].reshape(-1, g).sum(axis=0)
-                classes = np.count_nonzero(hosts_d + hosts_e)
-                if (_fewest_classes(hosts_d, need[d])
-                        + _fewest_classes(hosts_e, need[e]) > classes):
-                    return None
         return np.flatnonzero(room[parts[i]]).tolist()
 
     first = candidates(0, 0)
@@ -376,11 +361,6 @@ def _pack_cosets(m: int, parts) -> tuple | None:
     return None
 
 
-def _fewest_classes(hosts, k: int) -> int:
-    """Fewest classes whose free-coset counts ``hosts`` add up to k."""
-    return int(np.searchsorted(np.cumsum(np.sort(hosts)[::-1]), k)) + 1
-
-
 def htf_coherence(n: int, m: int) -> float:
     """Coherence of the unit-norm harmonic frame on (n, m), in closed form.
 
@@ -404,7 +384,10 @@ def vanishing_subsum_check(m: int, subset, power: int) -> bool:
     check_integers(m=m, power=power)
     if m < 1 or power < 1:
         raise ValueError("need m >= 1 and power >= 1")
-    idx = sorted(int(j) for j in subset)
+    idx = list(subset)
+    for j in idx:
+        check_integers(subset=j)
+    idx = sorted(int(j) for j in idx)
     if not idx or idx[0] < 1 or idx[-1] > m:
         raise ValueError("subset must be nonempty with indices in 1..m")
     total = _root_powers(m, [power * (j - 1) for j in idx]).sum()

@@ -1,8 +1,8 @@
-"""Fingerprints of the subset searches' answers over a fixed corpus.
+"""Fingerprints of the subset searches' and coset packings' answers.
 
-For each entry point and each tol in 1e-13, 1e-9 and 1e-6 this prints a
-SHA-256 of the ``repr`` of every result or exception, frame by frame, so
-two trees can be compared line for line:
+For each search entry point and each tol in 1e-13, 1e-9 and 1e-6 this
+prints a SHA-256 of the ``repr`` of every result or exception, frame by
+frame, so two trees can be compared line for line:
 
     PYTHONPATH=<tree>/src python tests/answers.py
 
@@ -15,8 +15,12 @@ points:
 ``is_prime_bruteforce``; ``find_divisor`` unfiltered and at every valid
 ``size_filter`` for m <= 16; ``prime_factorization``;
 ``prime_factor_size_multisets`` for m <= 12; ``tight_subsets`` at every
-size for m <= 14.  It runs in about a minute.  pytest does not collect
-this file.
+size for m <= 14.
+
+Two more lines, starting ``pack``, hash ``htf_divisor_of_size`` at every
+divisible size of every (n, m) with 2 <= n <= m/2 and m <= 120, one for
+the sizes s <= m/2 and one for s > m/2.  It runs in about a minute.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ import time
 
 import numpy as np
 
-from primeframes import (FrameMatrix, HtfParams, dft_row_frame, find_divisor,
-                         htf, is_prime_bruteforce,
+from primeframes import (FrameMatrix, HtfParams, dft_row_frame, divisor_sets,
+                         find_divisor, htf, htf_divisor_of_size,
+                         is_prime_bruteforce,
                          prime_factor_size_multisets, prime_factorization,
                          prime_parseval_extension, random_tight_frame, stf,
                          tight_subsets)
@@ -130,13 +135,32 @@ def answers(frames: dict, tol: float) -> dict:
     return out
 
 
+def packings() -> dict:
+    """One line per divisible size, split at s = m/2."""
+    out = {"s<=m/2": [], "s>m/2": []}
+    for m in range(4, 121):
+        for n in range(2, m // 2 + 1):
+            for size in divisor_sets(n, m).divisible_sizes:
+                out["s<=m/2" if 2 * size <= m else "s>m/2"].append(
+                    "(%d, %d, %d) -> %s" % (n, m, size, outcome(
+                        htf_divisor_of_size, HtfParams(n, m), size)))
+    return out
+
+
+def digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def main():
     start = time.perf_counter()
     frames = corpus()
     for tol in TOLS:
         for name, lines in answers(frames, tol).items():
-            digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-            print("tol=%-6g %-28s %5d %s" % (tol, name, len(lines), digest))
+            print("tol=%-6g %-28s %5d %s" % (tol, name, len(lines),
+                                             digest(lines)))
+    for sizes, lines in packings().items():
+        print("pack %-6s htf_divisor_of_size %12d %s" % (sizes, len(lines),
+                                                       digest(lines)))
     print("%d frames in %.1f s" % (len(frames), time.perf_counter() - start))
 
 

@@ -465,6 +465,9 @@ def test_domain_errors_exit_with_one(capsys):
     code, _, err = run_cli(capsys, ["random", "--n", "3", "--m", "2",
                                     "--seed", "0"])
     assert code == 1
+    code, out, err = run_cli(capsys, ["random", "--n", "2", "--m", "5",
+                                      "--seed", "-1"])
+    assert (code, out, err) == (1, "", "error: seed must be non-negative\n")
 
 
 def test_module_entry_point():

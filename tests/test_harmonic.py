@@ -88,6 +88,40 @@ def test_shape_parameters_must_be_integers(name, call, args):
     assert random_tight_frame(np.int64(2), 5, np.uint64(0)).m == 5
 
 
+HTF_2_10 = htf(HtfParams(2, 10))
+NON_INTEGER_INDICES = [
+    ("i", HTF_2_10.column, (1.5,)), ("i", HTF_2_10.column, (True,)),
+    ("indices", HTF_2_10.submatrix, ([1.7, 6.2],)),
+    ("indices", HTF_2_10.submatrix, ([True, 6],)),
+    ("subset", lambda subset: complement_certificate(HTF_2_10, subset),
+     ([1.9, 6.0],)),
+    ("subset", vanishing_subsum_check, (10, [1.9, 6.3], 1)),
+    ("subset", vanishing_subsum_check, (10, np.array([1.0, 6.0]), 1)),
+]
+
+
+@pytest.mark.parametrize("name, call, args", NON_INTEGER_INDICES,
+                         ids=["%s-%s" % (name, args)
+                              for name, _, args in NON_INTEGER_INDICES])
+def test_column_indices_must_be_integers(name, call, args):
+    # int(1.7) is 1, so float indices once took the wrong columns or
+    # certified the wrong subset; numpy integers stay accepted
+    with pytest.raises(ValueError, match="^%s must be an integer" % name):
+        call(*args)
+    pair = np.array([1, 6])
+    assert np.array_equal(HTF_2_10.column(np.int64(6)),
+                          HTF_2_10.entries[:, 5])
+    assert HTF_2_10.submatrix(pair).m == 2
+    assert complement_certificate(HTF_2_10, pair).subset == (1, 6)
+    assert vanishing_subsum_check(10, pair, 1)
+
+
+def test_random_tight_frame_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be non-negative"):
+        random_tight_frame(2, 5, -1)
+    assert random_tight_frame(2, 5, 0).m == 5
+
+
 def test_htf_matrix_values():
     phi = htf(HtfParams(2, 4))
     root = math.sqrt(0.5)
@@ -399,7 +433,8 @@ def test_tight_subsets_need_not_contain_a_coset():
 
 def test_htf_divisor_of_size_known_packings():
     assert htf_divisor_of_size(HtfParams(2, 10), 5) == (1, 3, 5, 7, 9)
-    assert htf_divisor_of_size(HtfParams(2, 10), 8) == (1, 2, 3, 4, 6, 7, 8, 9)
+    # size 8 is the complement of the first 2-packing, (1, 6)
+    assert htf_divisor_of_size(HtfParams(2, 10), 8) == (2, 3, 4, 5, 7, 8, 9, 10)
     # 5 = 3 + 2 needs one coset of each size, packed disjointly
     assert htf_divisor_of_size(HtfParams(2, 24), 5) == (1, 2, 9, 14, 17)
     assert htf_divisor_of_size(HtfParams(3, 24), 7) == (1, 2, 7, 10, 13, 18, 19)
@@ -491,11 +526,17 @@ def unpruned_pack_cosets(m, parts):
 
 
 def unpruned_divisor_of_size(n, m, size):
-    """The first packing over representations in order, or None."""
-    for parts in _representations(size, divisor_sets(n, m).minimal_divisors):
-        packed = unpruned_pack_cosets(m, parts)
-        if packed is not None:
-            return tuple(sorted(packed))
+    """The first packing over representations in order, of the smaller of
+    size and m - size first and then of the other, or None; a packing of
+    m - size is returned as its complement."""
+    minimal = divisor_sets(n, m).minimal_divisors
+    for side in sorted({size, m - size}):
+        for parts in _representations(side, minimal):
+            packed = unpruned_pack_cosets(m, parts)
+            if packed is not None:
+                if side != size:
+                    packed = set(range(1, m + 1)) - packed
+                return tuple(sorted(packed))
     return None
 
 
@@ -529,10 +570,14 @@ def assert_tight_packing(n, m, size, subset):
 
 @pytest.mark.parametrize("n, m, size", [
     (3, 240, 119), (2, 120, 113), (2, 120, 116), (2, 120, 117),
-    (2, 120, 118)])
+    (2, 120, 118), (4, 252, 241), (2, 330, 323), (6, 330, 301),
+    (6, 330, 307), (6, 330, 313), (5, 360, 347), (6, 360, 343),
+    (6, 360, 346), (6, 210, 187)])
 def test_htf_divisor_of_size_formerly_hanging_sizes(n, m, size):
     # the unpruned search put 23 five-cosets of Z_240 on shifts 1..23, left
-    # no room for a four-coset and ran on for minutes
+    # no room for a four-coset and ran on for minutes; the sizes above m/2
+    # ran for seconds (or hit the cap at (6, 210, 187)) while the search
+    # packed them directly, and their complements pack at once
     start = time.perf_counter()
     subset = htf_divisor_of_size(HtfParams(n, m), size)
     assert time.perf_counter() - start < 1.0
@@ -563,14 +608,19 @@ def test_htf_divisor_of_size_packs_the_complement(n, m, size):
 
 
 def test_htf_divisor_of_size_undecided_at_cap(monkeypatch):
-    # with room for only two backtracks, 9 of the 16 representations of
-    # 67 stop undecided, but size 17 still packs, so its complement is
+    # with room for only two backtracks, the one representation of 29 in
+    # Z_60 stops undecided, but size 31 still packs, so its complement is
     # returned
     monkeypatch.setattr(harmonic, "PACK_NODE_CAP", 2)
-    assert_tight_packing(4, 84, 67, htf_divisor_of_size(HtfParams(4, 84), 67))
+    assert_tight_packing(5, 60, 29, htf_divisor_of_size(HtfParams(5, 60), 29))
+    assert htf_divisor_of_size(HtfParams(2, 10), 5) == (1, 3, 5, 7, 9)
+    # the count test needs 4 backtracks to refute 13 = 9 + 4 in Z_36, so
+    # with 2 the search must not claim that no packing exists
+    with pytest.raises(SearchCapError):
+        htf_divisor_of_size(HtfParams(4, 36), 13)
+    monkeypatch.setattr(harmonic, "PACK_NODE_CAP", 4)
     with pytest.raises(PackingError):
         htf_divisor_of_size(HtfParams(4, 36), 13)
-    assert htf_divisor_of_size(HtfParams(2, 10), 5) == (1, 3, 5, 7, 9)
     # with no backtrack allowed, neither 14 nor 26 packs in Z_40 and some
     # representations stop undecided, so the search must not claim that
     # no packing exists; under the real cap 14 packs directly
