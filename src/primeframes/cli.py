@@ -135,6 +135,8 @@ def cmd_bench(args):
     n, m, p, trials = args.n, args.m, args.p, args.trials
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if args.seed < 0:
+        raise ValueError("seed must be non-negative")
     tplan = plan(n, m, p)
     rng = np.random.default_rng(args.seed)
     signals = (rng.standard_normal((trials, n))

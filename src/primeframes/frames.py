@@ -20,6 +20,20 @@ from .numtheory import check_integers, is_prime_int
 DEFAULT_TOL = 1e-9
 
 
+def _check_entries(arr: np.ndarray, field: str):
+    """Raise ValueError unless the complex128 ``arr`` is a finite 2-d
+    array with n, m >= 1 and ``field`` is "real" (every imaginary part
+    exactly zero) or "complex"."""
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError("entries must be a 2-d array with n, m >= 1")
+    if field not in ("real", "complex"):
+        raise ValueError("field must be 'real' or 'complex'")
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite (no NaN or inf)")
+    if field == "real" and np.any(arr.imag != 0.0):
+        raise ValueError("field 'real' requires exactly zero imaginary parts")
+
+
 @dataclass(frozen=True, eq=False)
 class FrameMatrix:
     """Immutable n x m frame matrix, columns are the frame vectors.
@@ -34,16 +48,21 @@ class FrameMatrix:
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=np.complex128, order="C")
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("entries must be a 2-d array with n, m >= 1")
-        if self.field not in ("real", "complex"):
-            raise ValueError("field must be 'real' or 'complex'")
-        if not np.isfinite(arr).all():
-            raise ValueError("entries must be finite (no NaN or inf)")
-        if self.field == "real" and np.any(arr.imag != 0.0):
-            raise ValueError("field 'real' requires exactly zero imaginary parts")
+        _check_entries(arr, self.field)
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, field: str) -> "FrameMatrix":
+        """The frame on ``arr`` itself, frozen with no copy and no checks:
+        a C-ordered complex128 array that the caller has just made, keeps
+        no other reference to, and has built from checked inputs or
+        passed through ``_check_entries``."""
+        arr.flags.writeable = False
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "entries", arr)
+        object.__setattr__(phi, "field", field)
+        return phi
 
     @property
     def n(self) -> int:
@@ -55,10 +74,12 @@ class FrameMatrix:
 
     @classmethod
     def from_array(cls, arr) -> "FrameMatrix":
-        """Wrap an array, tagging it real when no imaginary part is present."""
-        a = np.asarray(arr, dtype=np.complex128)
+        """Wrap a copy of an array, tagging it real when no imaginary part
+        is present."""
+        a = np.array(arr, dtype=np.complex128, order="C")
         field = "real" if not np.any(a.imag != 0.0) else "complex"
-        return cls(a, field)
+        _check_entries(a, field)
+        return cls._adopt(a, field)
 
     @classmethod
     def from_columns(cls, columns) -> "FrameMatrix":
@@ -81,8 +102,9 @@ class FrameMatrix:
         for i in idx:
             if not 1 <= i <= self.m:
                 raise ValueError("column index out of range")
-        return FrameMatrix(self.entries[:, [int(i) - 1 for i in idx]],
-                           self.field)
+        return FrameMatrix._adopt(
+            np.take(self.entries, [int(i) - 1 for i in idx], axis=1),
+            self.field)
 
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.entries, axis=0)

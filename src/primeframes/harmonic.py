@@ -96,7 +96,7 @@ def htf(params: HtfParams) -> FrameMatrix:
     n, m, s = params.n, params.m, params.s
     powers = np.outer(np.arange(n), np.arange(m))
     entries = math.sqrt(s / n) * _root_powers(m, powers)
-    return FrameMatrix(entries, "complex")
+    return FrameMatrix._adopt(entries, "complex")
 
 
 def index_coset(m: int, d: int, q: int) -> tuple:
@@ -199,7 +199,7 @@ def htf_prime_factors(params: HtfParams, p: int) -> list:
     n, m, s = params.n, params.m, params.s
     twists = _coset_twists(n, m, p)
     kernel = htf(HtfParams(n, p, s)).entries
-    return [FrameMatrix(twists[:, q, None] * kernel, "complex")
+    return [FrameMatrix._adopt(twists[:, q, None] * kernel, "complex")
             for q in range(m // p)]
 
 

@@ -125,7 +125,7 @@ def _assemble(n: int, m: int):
     """Build the frame; also return the 1-based e_j column positions of
     each row, as a range."""
     ones, rems = _schedule_seqs(n, m)
-    out = np.zeros((n, m))
+    out = np.zeros((n, m), dtype=np.complex128)
     ones_pos = []
     col = 0
     for j in range(n):
@@ -140,7 +140,7 @@ def _assemble(n: int, m: int):
             col += 2
     if col != m:
         raise FrameError("assembled %d columns, expected %d" % (col, m))
-    return FrameMatrix(out, "real"), ones_pos
+    return FrameMatrix._adopt(out, "real"), ones_pos
 
 
 def stf(n: int, m: int) -> FrameMatrix:
@@ -207,5 +207,6 @@ def stf_factorize(n: int, m: int) -> StfFactorization:
     for idx in basis_indices:
         peeled.update(idx)
     core_indices = tuple(i for i in range(1, m + 1) if i not in peeled)
-    core = FrameMatrix(frame.entries[:, np.subtract(core_indices, 1)], "real")
+    core = FrameMatrix._adopt(
+        np.take(frame.entries, np.subtract(core_indices, 1), axis=1), "real")
     return StfFactorization(core, copies, core_indices, basis_indices)

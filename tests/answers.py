@@ -19,13 +19,18 @@ size for m <= 14.
 
 Two more lines, starting ``pack``, hash ``htf_divisor_of_size`` at every
 divisible size of every (n, m) with 2 <= n <= m/2 and m <= 120, one for
-the sizes s <= m/2 and one for s > m/2.  It runs in about a minute.
-pytest does not collect this file.
+the sizes s <= m/2 and one for s > m/2.  The last line, starting ``io``,
+hashes the field and entry bytes of every corpus frame read back after
+a round trip through JSON and CSV files, and the ``repr`` of the error
+each reader raises on a fixed list of malformed texts.  It runs in about
+a minute.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -36,6 +41,57 @@ from primeframes import (FrameMatrix, HtfParams, dft_row_frame, divisor_sets,
                          prime_factor_size_multisets, prime_factorization,
                          prime_parseval_extension, random_tight_frame, stf,
                          tight_subsets)
+from primeframes.io import read_frame, read_vector, write_frame
+
+# (reader, file extension, text): frames and vectors that every reader
+# must refuse, each for its own reason
+MALFORMED = (
+    (read_frame, "csv", ""),
+    (read_frame, "csv", "\n \n"),
+    (read_frame, "csv", "1+0j,2+0j\n1+0j\n"),
+    (read_frame, "csv", "1+0j,nan+0j\n0+0j,1+0j\n"),
+    (read_frame, "csv", "1+0j,1e400+0j\n"),
+    (read_frame, "csv", "1+0j,1__0\n1,2,3\n"),
+    (read_frame, "csv", "1,_1,x\n"),
+    (read_frame, "csv", "1 + 2j,1\n"),
+    (read_frame, "csv", "(1+2j,1\n"),
+    (read_frame, "csv", "1,\n"),
+    (read_frame, "csv", "\x1f1,\x1c2\n"),
+    (read_vector, "csv", "   "),
+    (read_vector, "csv", "1,2\n3\n"),
+    (read_vector, "csv", "1+infj\n"),
+    (read_vector, "csv", "1,2_\n"),
+    (read_frame, "json", ""),
+    (read_frame, "json", "[1]"),
+    (read_frame, "json", '{"m": 2}'),
+    (read_frame, "json", "[" * 100_000 + "]" * 100_000),
+    (read_frame, "json", '{"n": 1, "m": 1, "field": "integer", '
+                         '"columns": [[[1, 0]]]}'),
+    (read_frame, "json", '{"n": 1, "m": 1, "field": "real", '
+                         '"columns": [[[1, 2]]]}'),
+    (read_frame, "json", '{"n": 0, "m": 1, "field": "real", '
+                         '"columns": [[]]}'),
+    (read_frame, "json", '{"n": 2, "m": 1, "field": "real", '
+                         '"columns": [[[1, 0], [1]]]}'),
+    (read_frame, "json", '{"n": 1, "m": 2, "field": "real", '
+                         '"columns": [[[1, 0, 0]], [[1, 0, 0]]]}'),
+    (read_frame, "json", '{"n": 1, "m": 1, "field": "real", '
+                         '"columns": [[[[1, 0], [0, 0]]]]}'),
+    (read_frame, "json", '{"n": 1, "m": 1, "field": "real", '
+                         '"columns": [[[[1%s, 0], [0, 0]]]]}' % ("0" * 400)),
+    (read_frame, "json", '{"n": 1, "m": 1, "field": "real", '
+                         '"columns": [[[true, 1%s]]]}' % ("0" * 400)),
+    (read_frame, "json", '{"n": 1, "m": 1, "field": "real", '
+                         '"columns": [[["1", null]]]}'),
+    (read_frame, "json", '{"n": 1, "m": 1, "field": "real", '
+                         '"columns": [["ab"]]}'),
+    (read_frame, "json", '{"n": 1, "m": 1, "field": "real", '
+                         '"columns": [[[1e999, 0]]]}'),
+    (read_vector, "json", '{"n": 2, "entries": [[1, 0]]}'),
+    (read_vector, "json", '{"n": 1, "entries": [[null, 0]]}'),
+    (read_vector, "json", '{"n": 2, "entries": [[0, 0], [false, 1]]}'),
+    (read_vector, "json", '{"n": 1, "entries": [[0, -1%s]]}' % ("0" * 400)),
+)
 
 TOLS = (1e-13, 1e-9, 1e-6)
 
@@ -147,6 +203,31 @@ def packings() -> dict:
     return out
 
 
+def io_lines(frames: dict) -> list:
+    """Each frame read back from a JSON and a CSV file, then each
+    malformed text's outcome."""
+    out = []
+    with tempfile.TemporaryDirectory() as folder:
+        for key, phi in frames.items():
+            for ext in ("json", "csv"):
+                path = os.path.join(folder, "frame." + ext)
+                write_frame(phi, path)
+                back = read_frame(path)
+                out.append("%s %s %s %s" % (key, ext, back.field,
+                                            back.entries.tobytes().hex()))
+        for read, ext, text in MALFORMED:
+            path = os.path.join(folder, "text." + ext)
+            with open(path, "w") as handle:
+                handle.write(text)
+            try:
+                got = repr(read(path))
+            except ValueError as exc:
+                got = repr(exc)
+            out.append("%s %s %r -> %s" % (read.__name__, ext, text[:80],
+                                           got))
+    return out
+
+
 def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -161,6 +242,8 @@ def main():
     for sizes, lines in packings().items():
         print("pack %-6s htf_divisor_of_size %12d %s" % (sizes, len(lines),
                                                        digest(lines)))
+    lines = io_lines(frames)
+    print("io  read_frame, read_vector %16d %s" % (len(lines), digest(lines)))
     print("%d frames in %.1f s" % (len(frames), time.perf_counter() - start))
 
 

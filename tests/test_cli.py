@@ -465,9 +465,11 @@ def test_domain_errors_exit_with_one(capsys):
     code, _, err = run_cli(capsys, ["random", "--n", "3", "--m", "2",
                                     "--seed", "0"])
     assert code == 1
-    code, out, err = run_cli(capsys, ["random", "--n", "2", "--m", "5",
-                                      "--seed", "-1"])
-    assert (code, out, err) == (1, "", "error: seed must be non-negative\n")
+    for argv in (["random", "--n", "2", "--m", "5", "--seed", "-1"],
+                 ["bench", "--n", "2", "--m", "6", "--p", "2", "--trials", "2",
+                  "--seed", "-1"]):
+        assert run_cli(capsys, argv) == (
+            1, "", "error: seed must be non-negative\n")
 
 
 def test_module_entry_point():

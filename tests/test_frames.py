@@ -12,9 +12,13 @@ from primeframes import (EquivalenceData, FrameMatrix, NotTightError,
                          check_equiangular, check_tight, coherence,
                          dft_row_frame, frame_operator, htf, HtfParams,
                          InfeasibleError, is_prime_bruteforce,
-                         prime_parseval_extension, random_tight_frame, stf,
-                         verify_reconstruction, welch_bound)
+                         htf_prime_factors, prime_parseval_extension,
+                         random_tight_frame, stf, stf_factorize,
+                         stf_low_redundancy, verify_reconstruction,
+                         welch_bound)
 from primeframes.frames import _bound_and_residual
+from primeframes.io import (frame_from_csv, frame_from_json_obj, frame_to_csv,
+                            frame_to_json_obj)
 
 
 def test_frame_matrix_validation():
@@ -45,6 +49,23 @@ def test_frame_matrix_entries_are_frozen():
     phi = FrameMatrix.from_array(np.eye(2))
     with pytest.raises(ValueError):
         phi.entries[0, 0] = 5.0
+
+
+def test_library_built_frames_pass_the_public_checks():
+    # these skip the public constructor's copy and checks, so each must
+    # hand over what the constructor would have made
+    phi = htf(HtfParams(3, 12, 2.5))
+    built = [phi, phi.submatrix((2, 5, 7)), stf(4, 11), stf(4, 14).submatrix(
+        (1, 2)), stf_low_redundancy(4, 6), stf_factorize(4, 14).prime_core,
+        *htf_prime_factors(HtfParams(3, 12), 3),
+        frame_from_csv(frame_to_csv(phi)), frame_from_csv(frame_to_csv(
+            stf(3, 7))), frame_from_json_obj(frame_to_json_obj(stf(3, 7)))]
+    for phi in built:
+        arr = phi.entries
+        assert arr.dtype == np.complex128 and arr.flags.c_contiguous
+        assert not arr.flags.writeable
+        again = FrameMatrix(arr, phi.field)
+        assert again.entries.tobytes() == arr.tobytes()
 
 
 def test_submatrix_and_column_indexing():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from conftest import DATA_DIR
 from primeframes import (FrameMatrix, HtfParams, check_equiangular,
                          check_tight, htf, is_prime_bruteforce,
                          random_tight_frame, stf, welch_bound)
-from primeframes.io import (dumps, frame_from_csv, frame_from_json_obj,
-                            frame_to_csv, frame_to_json, frame_to_json_obj,
-                            read_frame, read_vector, vector_from_csv,
-                            vector_from_json_obj, vector_to_csv,
-                            vector_to_json, vector_to_json_obj, write_frame,
-                            write_vector)
+from primeframes.io import (_complexes, _pair_array, dumps, frame_from_csv,
+                            frame_from_json_obj, frame_to_csv, frame_to_json,
+                            frame_to_json_obj, read_frame, read_vector,
+                            vector_from_csv, vector_from_json_obj,
+                            vector_to_csv, vector_to_json, vector_to_json_obj,
+                            write_frame, write_vector)
 
 
 # The per-number writer that the one-pass writers replaced, kept as the
@@ -72,6 +73,65 @@ def oracle_vector_csv(vec) -> str:
     return ",".join(oracle_token(z) for z in vec) + "\n"
 
 
+# The per-token readers that the bulk readers replaced, kept as the
+# oracle for their values and refusals: one complex() per CSV token, and
+# numpy's nested conversion of JSON pairs.
+
+def oracle_frame_from_csv(text: str) -> FrameMatrix:
+    rows = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        rows.append([complex(tok.strip()) for tok in line.split(",")])
+    if not rows or len({len(r) for r in rows}) != 1:
+        raise ValueError("CSV rows are empty or have unequal lengths")
+    return FrameMatrix.from_array(np.array(rows, dtype=np.complex128))
+
+
+def oracle_vector_from_csv(text: str) -> np.ndarray:
+    if text == "\n":
+        return np.empty(0, dtype=np.complex128)
+    line = text.strip()
+    if not line:
+        raise ValueError("empty vector text")
+    vec = np.array([complex(tok.strip()) for tok in line.split(",")],
+                   dtype=np.complex128)
+    if not np.isfinite(vec).all():
+        raise ValueError("vector entries must be finite (no NaN or inf)")
+    return vec
+
+
+def oracle_pair_array(rows, shape: tuple, key: str) -> np.ndarray:
+    bad = ValueError("field %r must hold [re, im] number pairs" % key)
+    try:
+        arr = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("field %r holds a number beyond the float "
+                         "range" % key) from None
+    except (TypeError, ValueError):
+        raise bad from None
+    items = rows
+    for _ in shape[1:]:
+        items = chain.from_iterable(items)
+    if arr.shape != shape or not set(map(type, items)) <= {int, float}:
+        raise bad
+    if not np.isfinite(arr).all():
+        raise ValueError("field %r must hold finite numbers" % key)
+    return arr
+
+
+def outcome(read, *args):
+    """What a reader returns, as comparable bytes, or its refusal."""
+    try:
+        got = read(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, FrameMatrix):
+        return got.field, got.entries.shape, got.entries.tobytes()
+    return got.dtype, got.shape, got.tobytes()
+
+
 # every finite double, with the edges drawn often: signed zeros, the
 # smallest subnormal and normal, and the largest magnitude
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -98,6 +158,79 @@ def frames(draw):
 
 vectors = st.lists(finite_complex, max_size=8).map(
     lambda v: np.array(v, dtype=np.complex128))
+
+# CSV tokens: numbers and complex forms that complex() reads, whitespace
+# that str.strip removes but complex() alone does not (\x1f), and, in
+# half the grids, malformed, non-finite and ragged input
+NUMBERS = ("0", "-0", "+0", "1", "-1.5", ".5", "0.25", "1e-300", "5e-324",
+           "1_000", "1_0.2_5", "0.33333333333333331")
+BAD_NUMBERS = ("1__0", "_1", "1_", "x", "", "1e", "--1", "0x1", "1e400",
+               "nan", "-nan", "inf", "-inf", "Infinity")
+CORES = ("{re}", "{re}j", "{re}J", "{re}+{im}j", "{re}-{im}J", "{im}j", "j",
+         "-J")
+BAD_CORES = ("{re} + {im}j", "{re}+{im}j+1", "({re}")
+WRAPS = ("%s", "%s", "(%s)", "( %s )")
+SPACES = ("", "", " ", "\t", "\xa0", "\u2003", "\u3000", "\x1f", "\x0b",
+          "\x85")
+
+
+@st.composite
+def csv_tokens(draw, bad):
+    numbers = st.sampled_from(NUMBERS + (BAD_NUMBERS if bad else ()))
+    re, im = draw(numbers), draw(numbers).lstrip("+-")
+    core = draw(st.sampled_from(CORES + (BAD_CORES if bad else ())))
+    return (draw(st.sampled_from(SPACES))
+            + draw(st.sampled_from(WRAPS)) % core.format(re=re, im=im)
+            + draw(st.sampled_from(SPACES)))
+
+
+@st.composite
+def csv_texts(draw):
+    """Token grids from a small pool, so tokens repeat, with blank lines."""
+    bad = draw(st.booleans())
+    pool = draw(st.lists(csv_tokens(bad), min_size=1, max_size=6))
+    width = draw(st.integers(1, 8))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(SPACES)))
+        size = width + (draw(st.sampled_from((0, 0, 0, 1, -1))) if bad else 0)
+        lines.append(",".join(draw(st.lists(st.sampled_from(pool),
+                                            min_size=size, max_size=size))))
+    sep = draw(st.sampled_from(("\n", "\r\n", "\n\n", "\u2028")))
+    return sep.join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+# JSON [re, im] data as a file reads: number pairs with, now and then, a
+# pair of another length, a nested pair, a tuple, or a string, boolean,
+# null, non-finite or out-of-range leaf
+ODD_LEAVES = ("1", "", "ab", True, False, None, math.nan, -math.inf,
+              10 ** 400, -10 ** 400, 2 ** 64 + 1, [], {})
+numbers = st.one_of(finite_floats, st.integers(-2 ** 70, 2 ** 70))
+number_pairs = st.lists(numbers, min_size=2, max_size=2)
+odd_pairs = st.one_of(
+    st.lists(st.one_of(numbers, st.sampled_from(ODD_LEAVES)),
+             min_size=0, max_size=3),
+    st.tuples(numbers, numbers),
+    st.lists(number_pairs, min_size=2, max_size=2),
+    st.sampled_from(ODD_LEAVES))
+
+
+@st.composite
+def pair_grids(draw):
+    """(rows, shape) for a vector's entries or a frame's columns."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def pair():
+        return draw(odd_pairs if draw(st.integers(0, 5)) == 0
+                    else number_pairs)
+
+    if draw(st.booleans()):
+        return [pair() for _ in range(n)], (n, 2)
+    columns = [[pair() for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        columns[0] = tuple(columns[0])
+    return columns, (m, n, 2)
 
 
 def test_dumps_formats_floats_at_17_digits():
@@ -197,6 +330,42 @@ def test_frame_json_obj_schema_errors_name_the_field():
     for obj, field in cases:
         with pytest.raises(ValueError, match=field):
             frame_from_json_obj(obj)
+
+
+def test_json_pair_refusals_keep_their_messages():
+    pairs = "'columns' must hold"
+    deep = [[[[1, 0], [0, 0]]]]
+    cases = [
+        ([[[1, 0], [1]]], pairs),                     # ragged pairs
+        ([[[1, 0, 0], [1, 0, 0]]], pairs),            # pairs of 3
+        ([[[1, 0], [1, 0, 0]]], pairs),
+        (deep, pairs),                                # nested too deep
+        ([[[[10 ** 400, 0], [0, 0]]]], "float range"),
+        ([[["1", None]]], pairs),                     # string and null
+        ([[[None, "a"]]], pairs),
+        ([[[True, 10 ** 400]]], "float range"),       # bool, then a big int
+        ([[[False, 0.5]]], pairs),
+        ([["ab"]], pairs),                            # a string pair
+        ([[{"a": 1, "b": 2}]], pairs),                # an object pair
+        ([[[0.5, {}]]], pairs),
+        ([[[1e308 * 10, 0]]], "'columns' must hold finite"),
+    ]
+    for columns, message in cases:
+        obj = {"n": len(columns[0]), "m": len(columns), "field": "complex",
+               "columns": columns}
+        with pytest.raises(ValueError, match=message):
+            frame_from_json_obj(obj)
+        with pytest.raises(ValueError, match=message.replace("columns",
+                                                             "entries")):
+            vector_from_json_obj({"n": len(columns[0]),
+                                  "entries": columns[0]})
+
+
+def test_json_readers_take_tuples_as_lists():
+    phi = htf(HtfParams(2, 3))
+    obj = frame_to_json_obj(phi)
+    obj["columns"] = [tuple(tuple(p) for p in col) for col in obj["columns"]]
+    assert frame_from_json_obj(obj).entries.tobytes() == phi.entries.tobytes()
 
 
 def test_vector_json_obj_schema_errors_name_the_field():
@@ -390,3 +559,40 @@ def test_frame_json_needs_positive_sizes():
                 {"n": 1, "m": 0, "field": "real", "columns": []}):
         with pytest.raises(ValueError, match="at least 1"):
             frame_from_json_obj(obj)
+
+
+@given(text=csv_texts())
+def test_csv_readers_agree_with_the_per_token_reader(text):
+    assert outcome(frame_from_csv, text) == outcome(oracle_frame_from_csv,
+                                                    text)
+    assert outcome(vector_from_csv, text) == outcome(oracle_vector_from_csv,
+                                                     text)
+
+
+@given(bad=st.booleans(), data=st.data())
+def test_bulk_parse_agrees_with_complex_per_token(bad, data):
+    # every token of a line, the first and last too, keeps its whitespace
+    pool = data.draw(st.lists(csv_tokens(bad), min_size=1, max_size=8))
+    tokens = data.draw(st.lists(st.sampled_from(pool), max_size=40))
+    assert outcome(_complexes, tokens) == outcome(
+        lambda toks: np.array([complex(t.strip()) for t in toks],
+                              dtype=np.complex128), tokens)
+
+
+@pytest.mark.parametrize("phi", [htf(HtfParams(16, 512)), stf(16, 512),
+                                 random_tight_frame(16, 512, 0)],
+                         ids=["htf", "stf", "random"])
+def test_csv_reader_agrees_on_large_frames(phi):
+    # the repeated entries of htf and stf take the parse-once path, the
+    # random frame's distinct entries the per-token path
+    text = frame_to_csv(phi)
+    assert outcome(frame_from_csv, text) == outcome(oracle_frame_from_csv,
+                                                    text)
+    assert outcome(frame_from_csv, text)[2] == phi.entries.tobytes()
+
+
+@given(grid=pair_grids())
+def test_pair_array_agrees_with_the_nested_conversion(grid):
+    rows, shape = grid
+    assert (outcome(_pair_array, rows, shape, "k")
+            == outcome(oracle_pair_array, rows, shape, "k"))
