@@ -11,7 +11,8 @@ payload (JSON by default, CSV for matrices on request) to stdout or
 --output.  Exit codes: 0 on success, 1 on a domain error (infeasible
 construction, non-tight input, bad parameters, a refused search, no
 memory), 2 on a usage error.  FRAMES_TOL, when set, overrides the
-default tightness tolerance of 1e-9 wherever --tol is not given.
+default tightness tolerance of 1e-9 for analyze and factor when --tol
+is not given.
 """
 
 from __future__ import annotations
@@ -56,17 +57,13 @@ def _write(text: str, path):
         sys.stdout.write(text)
 
 
-def _emit_frame(phi, args):
-    writer = io.frame_to_csv if args.format == "csv" else io.frame_to_json
-    _write(writer(phi), args.output)
-
-
 def _emit_obj(obj, args):
     _write(io.dumps(obj) + "\n", args.output)
 
 
 def cmd_frame(args):
-    _emit_frame(args.build(args), args)
+    writer = io.frame_to_csv if args.format == "csv" else io.frame_to_json
+    _write(writer(args.build(args)), args.output)
     return 0
 
 
@@ -78,23 +75,12 @@ def cmd_analyze(args):
         raise NotTightError(
             "input is not a tight frame (residual %.3e, bound %.6g)"
             % (report.residual, report.bound))
-    payload = {
-        "n": phi.n,
-        "m": phi.m,
-        "field": phi.field,
-        "is_tight": True,
-        "bound": report.bound,
-        "residual": report.residual,
-        "tol": tol,
-    }
+    payload = {"n": phi.n, "m": phi.m, "field": phi.field, **vars(report)}
     if phi.m >= 2:
         angles = check_equiangular(phi, tol)
-        payload["coherence"] = angles.max_abs_inner
-        payload["is_unit_norm"] = angles.is_unit_norm
-        payload["is_equiangular"] = angles.is_equiangular
-        payload["common_angle"] = angles.common_angle
-        payload["max_abs_inner"] = angles.max_abs_inner
-        payload["welch_bound"] = angles.welch_bound if phi.m >= phi.n else None
+        payload.update(coherence=angles.max_abs_inner, **vars(angles))
+        if phi.m < phi.n:
+            payload["welch_bound"] = None
     if args.factor:
         payload.update(prime_factorization(phi, tol, args.force).to_json_obj())
     _emit_obj(payload, args)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, InfeasibleError, NotTightError
-from .numtheory import check_integers, is_prime_int
+from .numtheory import check_integers, check_positive, is_prime_int
 
 DEFAULT_TOL = 1e-9
 
@@ -167,12 +167,9 @@ def frame_operator(phi: FrameMatrix) -> np.ndarray:
 
 
 def _check_tol(tol: float) -> float:
-    """Return ``tol`` if 0 < tol < inf, else raise ValueError.
-
-    NaN fails the test, so a NaN tol is rejected rather than compared."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    return tol
+    """Return ``tol`` if it is a real number with 0 < tol < inf, else
+    raise ValueError: the one rule for every ``tol`` of the library."""
+    return check_positive("tol", tol)
 
 
 def check_tight(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> TightnessReport:
@@ -200,6 +197,7 @@ def verify_reconstruction(phi: FrameMatrix, x, tol: float = DEFAULT_TOL) -> bool
 
 def canonical_parseval(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> FrameMatrix:
     """The Parseval frame S^{-1/2} Phi associated with a spanning frame."""
+    _check_tol(tol)
     s = frame_operator(phi)
     eigval, eigvec = np.linalg.eigh(s)
     if eigval[0] <= tol * eigval[-1]:
@@ -236,6 +234,7 @@ def check_equiangular(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> Equiangular
     all norms are 1 within tol.  ``common_angle`` is the mean pairwise
     modulus, meaningful only when is_equiangular holds.
     """
+    _check_tol(tol)
     if phi.m < 2:
         raise ValueError("equiangularity needs at least two frame vectors")
     norms = phi.column_norms()
@@ -257,13 +256,16 @@ def check_equiangular(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> Equiangular
 def apply_equivalence(phi: FrameMatrix, eq: EquivalenceData,
                       tol: float = DEFAULT_TOL) -> FrameMatrix:
     """Apply psi_i = c_i U phi_{perm(i)} after validating the equivalence data."""
+    _check_tol(tol)
     u = np.asarray(eq.unitary, dtype=np.complex128)
     if u.shape != (phi.n, phi.n):
         raise ValueError("unitary must be n x n")
     defect = np.linalg.norm(u @ u.conj().T - np.eye(phi.n))
     if defect > tol * math.sqrt(phi.n):
         raise ValueError("matrix is not unitary within tolerance")
-    perm = tuple(int(p) for p in eq.permutation)
+    perm = tuple(eq.permutation)
+    for p in perm:
+        check_integers(permutation=p)
     if sorted(perm) != list(range(1, phi.m + 1)):
         raise ValueError("permutation must be a bijection of 1..m")
     c = np.asarray(eq.scalars, dtype=np.complex128)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import PackingError, SearchCapError
 from .frames import FrameMatrix
-from .numtheory import (check_integers, prime_power_factorization,
-                        reachable_sums)
+from .numtheory import (check_integers, check_positive,
+                        prime_power_factorization, reachable_sums)
 
 # Dead ends (placed cosets taken back) allowed per representation in
 # htf_divisor_of_size before the representation is left undecided.
@@ -46,8 +46,7 @@ class HtfParams:
         check_integers(n=self.n, m=self.m)
         if not 1 <= self.n <= self.m:
             raise ValueError("need 1 <= n <= m")
-        if not 0 < self.s < math.inf:
-            raise ValueError("s must be positive and finite")
+        check_positive("s", self.s)
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,7 @@ def _representations(total: int, parts):
     placed.
     """
     parts = sorted(set(parts), reverse=True)
-    low = parts[-1] if parts else total + 1   # no parts: only length 0
+    low = parts[-1]
     for k in range(total // low + 1):
         chosen = []     # indices into parts, non-decreasing
         remaining = total
@@ -315,8 +314,9 @@ def _pack_cosets(m: int, parts) -> tuple | None:
     allows) must be at least as many as the d-parts left, or the branch
     is dropped.  The test only rejects states that have no completion,
     so the first packing found is the one the unpruned search finds
-    first.  Raises SearchCapError once PACK_NODE_CAP placements have
-    been taken back.
+    first.  The parts sum to less than m, which leaves each size d more
+    free d-cosets than d-parts before the first placement.  Raises
+    SearchCapError once PACK_NODE_CAP placements have been taken back.
     """
     used = np.zeros(m, dtype=bool)
     left = [Counter(parts[i:]) for i in range(len(parts))]
@@ -331,11 +331,8 @@ def _pack_cosets(m: int, parts) -> tuple | None:
             return None
         return np.flatnonzero(room[parts[i]]).tolist()
 
-    first = candidates(0, 0)
-    if first is None:
-        return None
     shifts = []
-    todo = [iter(first)]
+    todo = [iter(candidates(0, 0))]
     backtracks = 0
     while todo:
         i = len(todo) - 1

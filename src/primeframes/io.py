@@ -294,7 +294,8 @@ def _format_of(path: str, fmt: str | None) -> str:
         return "json"
     if ext == ".csv":
         return "csv"
-    raise ValueError("cannot infer format from %r; pass fmt" % path)
+    raise ValueError("cannot infer format from %r: expected a .json or "
+                     ".csv extension" % path)
 
 
 def write_frame(phi: FrameMatrix, path: str, fmt: str | None = None):

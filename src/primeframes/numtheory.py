@@ -1,6 +1,8 @@
-"""Small integer routines shared by the construction modules."""
+"""Small integer routines and argument rules shared by the modules."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,6 +19,20 @@ def check_integers(**values) -> None:
     for name, value in values.items():
         if not is_int(value):
             raise ValueError("%s must be an integer, not %r" % (name, value))
+
+
+def check_positive(name: str, value):
+    """Return ``value`` if it is a real number with 0 < value < inf, else
+    raise ValueError naming it.  Bools and complex numbers are refused,
+    NaN fails the comparison, and a value that does not compare with a
+    float (a string, None) is refused instead of raising TypeError."""
+    try:
+        if (not isinstance(value, (bool, np.bool_, np.complexfloating))
+                and 0.0 < value < math.inf):
+            return value
+    except TypeError:
+        pass
+    raise ValueError("%s must be positive and finite" % name)
 
 
 def is_prime_int(k: int) -> bool:

@@ -19,16 +19,21 @@ size for m <= 14.
 
 Two more lines, starting ``pack``, hash ``htf_divisor_of_size`` at every
 divisible size of every (n, m) with 2 <= n <= m/2 and m <= 120, one for
-the sizes s <= m/2 and one for s > m/2.  The last line, starting ``io``,
+the sizes s <= m/2 and one for s > m/2.  The line starting ``io``
 hashes the field and entry bytes of every corpus frame read back after
 a round trip through JSON and CSV files, and the ``repr`` of the error
-each reader raises on a fixed list of malformed texts.  It runs in about
-a minute.  pytest does not collect this file.
+each reader raises on a fixed list of malformed texts.  The last line,
+starting ``cli``, hashes the argv, exit code, stdout and stderr of
+``cli.main`` for each argv of CLI_ARGVS, run in order in a temporary
+directory whose path is replaced by a fixed token.  It runs in about a
+minute.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import tempfile
 import time
@@ -41,6 +46,7 @@ from primeframes import (FrameMatrix, HtfParams, dft_row_frame, divisor_sets,
                          prime_factor_size_multisets, prime_factorization,
                          prime_parseval_extension, random_tight_frame, stf,
                          tight_subsets)
+from primeframes.cli import main as cli_main
 from primeframes.io import read_frame, read_vector, write_frame
 
 # (reader, file extension, text): frames and vectors that every reader
@@ -94,6 +100,35 @@ MALFORMED = (
 )
 
 TOLS = (1e-13, 1e-9, 1e-6)
+
+# (file name, frame columns) written before CLI_ARGVS run: m < n, m = 1,
+# and a frame that is not tight
+CLI_FRAMES = (
+    ("short.json", [(1, 0, 0), (0, 1, 0)]),
+    ("one.csv", [(2,)]),
+    ("lopsided.json", [(1, 0), (0, 1), (1, 1)]),
+)
+# the primeframes lines of README's command block but the timing one,
+# then each subcommand that reads a frame on each of CLI_FRAMES; at tol
+# 0.6 the 3 x 2 frame passes as tight
+CLI_ARGVS = [argv.split() for argv in (
+    "htf --n 2 --m 5 --format csv",
+    "stf --n 4 --m 11 --format csv",
+    "stf --n 4 --m 7 --low-redundancy",
+    "random --n 3 --m 8 --seed 0",
+    "extendprime --n 3 --m 7",
+    "htf --n 2 --m 10 --output ten.json",
+    "analyze --input ten.json --factor",
+    "factor --input ten.json --all-minimal",
+    "htf --n 2 --m 30 --output thirty.json",
+    "factor --input thirty.json --force",
+    "sets --n 3 --m 24",
+    "transform --n 2 --m 10 --p 5 --analyze --input x.json",
+    "grid --nmax 3 --mmax 12 --format csv",
+    "analyze --input ten.json",
+)] + [[*command.split(), "--input", name, *tol]
+      for name, _ in CLI_FRAMES for tol in ([], ["--tol", "0.6"])
+      for command in ("analyze", "analyze --factor", "factor --all-minimal")]
 
 
 def planted(n, sizes, seed):
@@ -228,6 +263,33 @@ def io_lines(frames: dict) -> list:
     return out
 
 
+def cli_lines() -> list:
+    """Each argv of CLI_ARGVS with what ``cli.main`` returns and prints."""
+    out = []
+    start = os.getcwd()
+    saved = os.environ.pop("FRAMES_TOL", None)
+    with tempfile.TemporaryDirectory() as folder:
+        os.chdir(folder)
+        try:
+            with open("x.json", "w") as handle:
+                handle.write('{"n": 2, "entries": [[1, 0], [0, 1]]}\n')
+            for name, columns in CLI_FRAMES:
+                write_frame(FrameMatrix.from_columns(columns), name)
+            for argv in CLI_ARGVS:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(stderr):
+                    code = cli_main(argv)
+                line = "%r -> %r %r %r" % (argv, code, stdout.getvalue(),
+                                           stderr.getvalue())
+                out.append(line.replace(folder, "<tmp>"))
+        finally:
+            os.chdir(start)
+            if saved is not None:
+                os.environ["FRAMES_TOL"] = saved
+    return out
+
+
 def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -244,6 +306,8 @@ def main():
                                                        digest(lines)))
     lines = io_lines(frames)
     print("io  read_frame, read_vector %16d %s" % (len(lines), digest(lines)))
+    lines = cli_lines()
+    print("cli main %35d %s" % (len(lines), digest(lines)))
     print("%d frames in %.1f s" % (len(frames), time.perf_counter() - start))
 
 

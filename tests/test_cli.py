@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import run_subprocess
-from primeframes import HtfParams, coherence, htf, stf
+from primeframes import FrameMatrix, HtfParams, coherence, htf, stf
 from primeframes.cli import build_parser, main
 from primeframes.io import (frame_from_csv, frame_from_json_obj, read_frame,
                             read_vector, write_frame, write_vector)
@@ -223,6 +223,28 @@ def test_analyze_missing_file(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+def test_unknown_input_extension_names_the_formats_read(tmp_path, capsys,
+                                                       monkeypatch):
+    # no subcommand can name a format, so the error names the extensions
+    monkeypatch.chdir(tmp_path)
+    for argv in (ANALYZE + ["frame.txt"], TRANSFORM + ["frame.txt"]):
+        assert run_cli(capsys, argv) == (
+            1, "", "error: cannot infer format from 'frame.txt': expected a "
+                   ".json or .csv extension\n")
+
+
+def test_analyze_factor_reports_a_complement_that_fails(tmp_path, capsys):
+    # tight at 1e-3, yet the complement of the first accepted pair is not
+    path = os.path.join(tmp_path, "frame.json")
+    write_frame(FrameMatrix.from_array(
+        np.array([[10, 0, 1, 0.05], [0, 10, 0, 1.0]])), path)
+    argv = ["analyze", "--input", path, "--tol", "1e-3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["is_tight"] is True
+    assert run_cli(capsys, argv + ["--factor"]) == (
+        1, "", "error: complement failed its tightness check\n")
+
+
 def test_analyze_rejects_non_finite_csv(tmp_path, capsys):
     path = os.path.join(tmp_path, "nan.csv")
     with open(path, "w") as handle:
@@ -247,7 +269,6 @@ def perturbed_frame_path(tmp_path):
     entries = htf(HtfParams(2, 4)).entries.copy()
     entries[0, 0] += 1e-5
     path = os.path.join(tmp_path, "near.json")
-    from primeframes import FrameMatrix
     write_frame(FrameMatrix.from_array(entries), path)
     return path
 

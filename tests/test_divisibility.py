@@ -61,6 +61,18 @@ def test_find_divisor_requires_tight_input():
         find_divisor(lopsided)
 
 
+def test_complement_that_fails_its_check_is_an_error():
+    # tight at 1e-3 (residual 5.0e-4): the columns {1, 2} pass the rule,
+    # but their complement {3, 4} does not, and the search says so
+    phi = FrameMatrix.from_array(np.array([[10, 0, 1, 0.05],
+                                           [0, 10, 0, 1.0]]))
+    assert check_tight(phi, 1e-3).is_tight
+    for call in (find_divisor, prime_factorization):
+        with pytest.raises(NotTightError,
+                           match="^complement failed its tightness check$"):
+            call(phi, tol=1e-3)
+
+
 def test_find_divisor_size_filter():
     phi = htf(HtfParams(2, 10))
     cert = find_divisor(phi, size_filter=2)

@@ -10,8 +10,8 @@ from conftest import hexagon_frame, mercedes_frame, random_unitary
 from primeframes import (EquivalenceData, FrameMatrix, NotTightError,
                          FrameError, apply_equivalence, canonical_parseval,
                          check_equiangular, check_tight, coherence,
-                         dft_row_frame, frame_operator, htf, HtfParams,
-                         InfeasibleError, is_prime_bruteforce,
+                         dft_row_frame, find_divisor, frame_operator, htf,
+                         HtfParams, InfeasibleError, is_prime_bruteforce,
                          htf_prime_factors, prime_parseval_extension,
                          random_tight_frame, stf, stf_factorize,
                          stf_low_redundancy, verify_reconstruction,
@@ -77,6 +77,9 @@ def test_submatrix_and_column_indexing():
         phi.column(7)
     with pytest.raises(ValueError):
         phi.submatrix(())
+    for indices in ((1, 7), (0, 1)):
+        with pytest.raises(ValueError, match="^column index out of range$"):
+            phi.submatrix(indices)
 
 
 def test_frame_operator_values():
@@ -110,6 +113,40 @@ def test_check_tight_rejects_non_finite_tol():
     assert check_tight(phi, 1e-3).is_tight
 
 
+PHI_2_6 = htf(HtfParams(2, 6))
+TOL_TAKERS = [
+    ("check_tight", lambda tol: check_tight(PHI_2_6, tol)),
+    ("canonical_parseval", lambda tol: canonical_parseval(PHI_2_6, tol)),
+    ("check_equiangular", lambda tol: check_equiangular(PHI_2_6, tol)),
+    ("apply_equivalence", lambda tol: apply_equivalence(
+        PHI_2_6, EquivalenceData(np.eye(2), tuple(range(1, 7)), np.ones(6)),
+        tol)),
+    ("find_divisor", lambda tol: find_divisor(PHI_2_6, tol=tol)),
+]
+BAD_TOLS = [True, np.True_, "a", None, 1j, np.complex128(1e-3), -1.0, 0,
+            math.nan]
+
+
+@pytest.mark.parametrize("name, call", TOL_TAKERS,
+                         ids=[name for name, _ in TOL_TAKERS])
+@pytest.mark.parametrize("tol", BAD_TOLS, ids=[repr(t) for t in BAD_TOLS])
+def test_every_tol_follows_one_rule(name, call, tol):
+    # a bool once ran as tol 1.0 and a string or None ended in TypeError;
+    # canonical_parseval, check_equiangular and apply_equivalence ran at
+    # whatever tol they were given
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        call(tol)
+    for good in (1e-9, np.float64(1e-9), np.float32(1e-6)):
+        call(good)
+
+
+def test_harmonic_scale_follows_the_tol_rule():
+    for s in BAD_TOLS:
+        with pytest.raises(ValueError, match="^s must be positive and finite$"):
+            HtfParams(2, 6, s)
+    assert HtfParams(2, 6, np.float32(2.0)).s == 2.0
+
+
 def test_check_tight_rejects_zero_frame():
     rep = check_tight(FrameMatrix.from_array(np.zeros((2, 3))))
     assert not rep.is_tight and rep.bound == 0.0
@@ -127,6 +164,9 @@ def test_reconstruction_identity():
     lopsided = FrameMatrix.from_columns([(1, 0), (0, 1), (0.5, 0.5)])
     with pytest.raises(NotTightError):
         verify_reconstruction(lopsided, [1.0, 0.0])
+    with pytest.raises(ValueError, match="^signal length must equal"):
+        verify_reconstruction(phi, [1.0, 2.0, 3.0])
+    assert verify_reconstruction(phi, [0.0, 0.0]) is True
 
 
 def test_reconstruction_across_constructions():
@@ -215,6 +255,8 @@ def test_equiangularity_reports():
     assert rep.is_unit_norm and not rep.is_equiangular
     rep = check_equiangular(FrameMatrix.from_array(np.eye(3)))
     assert rep.is_equiangular and rep.common_angle == 0.0
+    with pytest.raises(ValueError, match="^equiangularity needs at least two"):
+        check_equiangular(FrameMatrix.from_columns([(1, 0)]))
 
 
 def test_apply_equivalence_identity_and_permutation():
@@ -228,15 +270,15 @@ def test_apply_equivalence_identity_and_permutation():
 
 def test_apply_equivalence_validation():
     phi = htf(HtfParams(2, 4))
-    with pytest.raises(ValueError):
-        apply_equivalence(phi, EquivalenceData(2 * np.eye(2), (1, 2, 3, 4),
-                                               np.ones(4)))
-    with pytest.raises(ValueError):
-        apply_equivalence(phi, EquivalenceData(np.eye(2), (1, 1, 3, 4),
-                                               np.ones(4)))
-    with pytest.raises(ValueError):
-        apply_equivalence(phi, EquivalenceData(np.eye(2), (1, 2, 3, 4),
-                                               np.array([1, 1, 1, 2.0])))
+    for unitary, perm, scalars, message in (
+            (2 * np.eye(2), (1, 2, 3, 4), np.ones(4), "not unitary"),
+            (np.eye(3), (1, 2, 3, 4), np.ones(4), "unitary must be n x n"),
+            (np.eye(2), (1, 1, 3, 4), np.ones(4), "permutation must be a"),
+            (np.eye(2), (1, 2, 3, 4), np.array([1, 1, 1, 2.0]),
+             "scalars must share"),
+            (np.eye(2), (1, 2, 3, 4), np.ones(3), "scalars must have length")):
+        with pytest.raises(ValueError, match=message):
+            apply_equivalence(phi, EquivalenceData(unitary, perm, scalars))
 
 
 def test_equivalence_preserves_frame_invariants():
@@ -282,6 +324,9 @@ def test_prime_parseval_extension_shapes():
     assert np.array_equal(prime_parseval_extension(4, 4).entries.real, np.eye(4))
     assert ext.field == "real"
     assert np.all(np.linalg.norm(ext.entries, axis=0) > 0)
+    for n, m in ((3, 2), (0, 2)):
+        with pytest.raises(ValueError, match=r"^need 1 <= n <= m$"):
+            prime_parseval_extension(n, m)
 
 
 def test_dft_row_frame_values():
@@ -294,6 +339,9 @@ def test_dft_row_frame_values():
     assert is_prime_bruteforce(d)
     with pytest.raises(InfeasibleError):
         dft_row_frame(2, 4)
+    for n, m in ((3, 2), (0, 5)):
+        with pytest.raises(ValueError, match=r"^need 1 <= n <= m$"):
+            dft_row_frame(n, m)
 
 
 def norm_bound_and_residual(entries):

@@ -6,8 +6,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from primeframes import (DivisorSets, FrameMatrix, HtfParams, PackingError,
-                         SearchCapError, check_tight, coherence,
+from primeframes import (DivisorSets, EquivalenceData, FrameMatrix, HtfParams,
+                         PackingError, SearchCapError, apply_equivalence,
+                         check_tight, coherence,
                          complement_certificate, dft_row_frame, divisor_sets,
                          htf, htf_coherence, htf_divisor_of_size,
                          htf_is_prime, htf_prime_factors, index_coset,
@@ -89,6 +90,13 @@ def test_shape_parameters_must_be_integers(name, call, args):
 
 
 HTF_2_10 = htf(HtfParams(2, 10))
+
+
+def permuted(perm):
+    return apply_equivalence(HTF_2_10,
+                             EquivalenceData(np.eye(2), perm, np.ones(10)))
+
+
 NON_INTEGER_INDICES = [
     ("i", HTF_2_10.column, (1.5,)), ("i", HTF_2_10.column, (True,)),
     ("indices", HTF_2_10.submatrix, ([1.7, 6.2],)),
@@ -97,6 +105,8 @@ NON_INTEGER_INDICES = [
      ([1.9, 6.0],)),
     ("subset", vanishing_subsum_check, (10, [1.9, 6.3], 1)),
     ("subset", vanishing_subsum_check, (10, np.array([1.0, 6.0]), 1)),
+    ("permutation", permuted, ((1.5, 2, 3, 4, 5, 6, 7, 8, 9, 10),)),
+    ("permutation", permuted, ((True, 2, 3, 4, 5, 6, 7, 8, 9, 10),)),
 ]
 
 
@@ -114,6 +124,8 @@ def test_column_indices_must_be_integers(name, call, args):
     assert HTF_2_10.submatrix(pair).m == 2
     assert complement_certificate(HTF_2_10, pair).subset == (1, 6)
     assert vanishing_subsum_check(10, pair, 1)
+    assert np.array_equal(permuted(np.arange(1, 11)).entries,
+                          HTF_2_10.entries)
 
 
 def test_random_tight_frame_refuses_a_negative_seed():

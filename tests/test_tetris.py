@@ -142,6 +142,9 @@ def test_low_redundancy_infeasible_raises():
     with pytest.raises(InfeasibleError) as err:
         stf_low_redundancy(5, 6)
     assert "negative budget" in str(err.value)
+    for m_tilde in (4, 8):
+        with pytest.raises(ValueError, match="^need n < m_tilde < 2n$"):
+            stf_low_redundancy(4, m_tilde)
 
 
 def test_factorize_4_11():
