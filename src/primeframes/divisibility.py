@@ -68,13 +68,13 @@ few that pass are ordered in plain Python, and more are sorted once.
 If none is accepted the frame is prime; otherwise the least accepted
 subset is exactly the kernel's first certificate.  (The assignment with every free
 column in is the whole frame, whose pivots the bound forces to 1, so it
-is skipped.)  The pivots are the r columns of largest norm when
-their Gram matrix is well conditioned, else those of a pivoted Cholesky
-factorization, whose loop carries L^-1 along, so they are factored once;
-r is at most the rank of C, which is n(n+1)/2 - 1 for real and n^2 - 1
-for complex frames.  Coordinates that stay at rounding level on every
-column lower that bound, and when they do, the largest-norm Gram matrix
-would be singular, so only the pivoted Cholesky choice is tried.
+is skipped.)  The pivots are those of a pivoted Cholesky factorization
+of the Gram matrix of C, largest residual first, whose loop carries
+L^-1 along, so they are factored once.  A column becomes a pivot only
+while its residual norm exceeds rounding level and 64 (tol + delta)
+sqrt(n / (1 - tol^2)) B, so r is at most the rank of C, which is
+n(n+1)/2 - 1 for real and n^2 - 1 for complex frames, and coordinates
+that stay at rounding level on every column add no pivot.
 
 Both paths yield accepted subsets in the kernel's order, and a
 first-divisor search, over every size or some, returns the first: the
@@ -400,31 +400,11 @@ def _greedy_pivots(gram, most, floor):
     return pivots, low[:, width:].take(pivots, axis=1), low[:, :width]
 
 
-def _forcing(norms, chosen, margin, rounding):
-    """(pivots, forced, mu) for ``chosen`` = (pivots, L^-1, L^-1 G_p.),
-    or None when ``chosen`` is None or mu >= 1/4.
-
-    forced = C_p^+ C = G_pp^-1 G_p. for the Gram matrix G of the
-    traceless coordinates, whose diagonal is ``norms``, and
-    ||C_p^+||_2^2 <= trace(G_pp^-1) = ||L^-1||_F^2 for the Cholesky
-    factor L of G_pp.  ``rounding`` is a multiple of eps.  It is scaled
-    by trace(G_pp) trace(G_pp^-1), which bounds the condition number of
-    G_pp, and by 1 + sqrt(trace(G_pp^-1) m trace(G)), which bounds every
-    row sum of |forced|.  Dependent pivots make that condition number
-    about 1/eps, so mu >= 1/4 refuses them.  The trace is summed from
-    the squares of L^-1: the trace of a computed inverse of a singular
-    G_pp can come out small and positive.
-    """
-    if chosen is None:
-        return None
-    pivots, linv, reduced = chosen
-    spread = float(np.vdot(linv, linv))
-    if not 0.0 < spread < np.inf:
-        return None
-    scale = sum(norms[p] for p in pivots)
-    mu = sqrt(spread) * margin + rounding * spread * scale * (
-        1.0 + sqrt(spread * len(norms) * sum(norms)))
-    return (pivots, linv.T.dot(reduced), mu) if mu < 0.25 else None
+def _most_pivots(coords, width: int) -> int:
+    """The most pivots of a frame of ``width`` + 1 columns: position 0 is
+    never one, and the d traceless coordinates of ``coords`` have rank at
+    most d - 1, since the n diagonal ones sum to zero."""
+    return min(coords.shape[1] - 2, width)
 
 
 def _pivot_reduction(coords, cols, n, bound, tol):
@@ -435,44 +415,42 @@ def _pivot_reduction(coords, cols, n, bound, tol):
     tol.  Positions index ``cols`` and are never 0.  An accepted subset
     with indicator x has x_p within mu of -forced @ x_f in every entry,
     where x_p is x on the pivots and x_f is x with the pivots set to 0.
-    The columns of largest norm are tried as pivots first, then the
-    greedy choice; when fewer coordinates than pivots are live (their sum
-    of squares over the columns above _PIVOT_FLOOR times the total), the
-    largest-norm Gram matrix would be singular and the greedy choice is
-    the only one tried.  Needs tol < 1; returns None when mu >= 1/4.
+    The pivots are ``_greedy_pivots``' pivoted Cholesky choice, largest
+    residual first, so no pivot is a rounding echo of the earlier ones.
+    Needs tol < 1; returns None when no column qualifies or mu >= 1/4.
+
+    forced = C_p^+ C = G_pp^-1 G_p. for the Gram matrix G of the
+    traceless coordinates, and ||C_p^+||_2^2 <= trace(G_pp^-1) =
+    ||L^-1||_F^2 for the Cholesky factor L of G_pp.  The rounding term,
+    a multiple of eps, is scaled by trace(G_pp) trace(G_pp^-1), which
+    bounds the condition number of G_pp, and by 1 + sqrt(trace(G_pp^-1)
+    m trace(G)), which bounds every row sum of |forced|.  The floors of
+    ``_greedy_pivots`` bound each pivot's residual, not the whole of
+    ||L^-1||_F or the rounding term, so mu >= 1/4 still refuses pivots
+    too loose to force anything.
     """
     width = len(cols) - 1
     d = coords.shape[1] - 1
-    most = min(d - 1, width)  # the n diagonal coordinates sum to zero
     # ||T_J|| <= tol ||S_J|| <= tol ||S||, and ||S||^2 (1 - residual^2)
     # = n bound^2 since S - bound I is traceless
     margin = (tol + _DELTA) * sqrt(n / (1.0 - tol * tol)) * bound
-    rounding = 16 * (width + 1 + d) * _EPS
     c = coords if len(cols) == len(coords) else coords.take(cols, axis=0)
     c = c[:, :d]
     gram = c.dot(c.T)
+    chosen = _greedy_pivots(gram, _most_pivots(coords, width),
+                            (64.0 * margin) ** 2)
+    if chosen is None:
+        return None
+    pivots, linv, reduced = chosen
+    spread = float(np.vdot(linv, linv))
+    if not 0.0 < spread < np.inf:
+        return None
     norms = gram.diagonal().tolist()
-    # coordinates at rounding level on every column add no rank, and the
-    # n diagonal ones sum to zero
-    floor = _PIVOT_FLOOR * sum(norms)
-    live = [e > floor for e in np.einsum("ij,ij->j", c, c).tolist()]
-    rank = sum(live[n:]) + max(sum(live[:n]) - 1, 0)
-    if rank >= most:
-        largest = sorted(range(1, width + 1), key=norms.__getitem__,
-                         reverse=True)[:most]
-        rows = gram.take(largest, axis=0)
-        try:
-            linv = np.linalg.inv(np.linalg.cholesky(
-                rows.take(largest, axis=1)))
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            found = _forcing(norms, (largest, linv, linv.dot(rows)), margin,
-                             rounding)
-            if found is not None:
-                return found
-    return _forcing(norms, _greedy_pivots(
-        gram, min(most, rank), (64.0 * margin) ** 2), margin, rounding)
+    scale = sum(norms[p] for p in pivots)
+    rounding = 16 * (width + 1 + d) * _EPS
+    mu = sqrt(spread) * margin + rounding * spread * scale * (
+        1.0 + sqrt(spread * len(norms) * sum(norms)))
+    return (pivots, linv.T.dot(reduced), mu) if mu < 0.25 else None
 
 
 def _members(code, shifted, free, pivots):
@@ -626,8 +604,8 @@ def _first_divisor(entries, cols, bound, tol, force, coordinates=None,
     sizes = sizes or range(n, width - n + 2)
     rows = _kernel_rows(width + 1, sizes)
     found = _tight_parts(entries, coords, cols, sizes, True, bound, tol)
-    if tol < 1.0 and _reduction_rows(
-            width, min(coords.shape[1] - 2, width)) < rows:
+    if tol < 1.0 and _reduction_rows(width,
+                                     _most_pivots(coords, width)) < rows:
         reduction = _pivot_reduction(coords, cols, n, bound, tol)
         cost = reduction and _reduction_rows(width, len(reduction[0]))
         if cost and cost < rows:

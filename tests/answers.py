@@ -19,14 +19,18 @@ size for m <= 14.
 
 Two more lines, starting ``pack``, hash ``htf_divisor_of_size`` at every
 divisible size of every (n, m) with 2 <= n <= m/2 and m <= 120, one for
-the sizes s <= m/2 and one for s > m/2.  The line starting ``io``
-hashes the field and entry bytes of every corpus frame read back after
-a round trip through JSON and CSV files, and the ``repr`` of the error
-each reader raises on a fixed list of malformed texts.  The last line,
-starting ``cli``, hashes the argv, exit code, stdout and stderr of
-``cli.main`` for each argv of CLI_ARGVS, run in order in a temporary
-directory whose path is replaced by a fixed token.  It runs in about a
-minute.  pytest does not collect this file.
+the sizes s <= m/2 and one for s > m/2.  The line starting ``path``
+hashes which path the unfiltered ``find_divisor`` search takes on every
+corpus frame at every tol: the kernel or the pivot reduction with its
+pivot count r (which also sets the rows the search cap is charged),
+then the type of the exception, if the search raises one.  The line
+starting ``io`` hashes the field and entry bytes of every corpus frame
+read back after a round trip through JSON and CSV files, and the
+``repr`` of the error each reader raises on a fixed list of malformed
+texts.  The last line, starting ``cli``, hashes the argv, exit code,
+stdout and stderr of ``cli.main`` for each argv of CLI_ARGVS, run in
+order in a temporary directory whose path is replaced by a fixed token.
+It runs in about a minute.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ import time
 
 import numpy as np
 
-from primeframes import (FrameMatrix, HtfParams, dft_row_frame, divisor_sets,
-                         find_divisor, htf, htf_divisor_of_size,
+from primeframes import (FrameMatrix, HtfParams, dft_row_frame, divisibility,
+                         divisor_sets, find_divisor, htf, htf_divisor_of_size,
                          is_prime_bruteforce,
                          prime_factor_size_multisets, prime_factorization,
                          prime_parseval_extension, random_tight_frame, stf,
@@ -238,6 +242,33 @@ def packings() -> dict:
     return out
 
 
+def path_lines(frames: dict) -> list:
+    """The path of each unfiltered first-divisor search, frame by frame
+    and tol by tol."""
+    out, taken = [], []
+    search = divisibility._reduction_search
+
+    def reduction_search(*args):
+        # args[5] is the reduction: (pivots, forced, mu)
+        taken.append("reduction r=%d" % len(args[5][0]))
+        return search(*args)
+
+    divisibility._reduction_search = reduction_search
+    try:
+        for tol in TOLS:
+            for key, phi in frames.items():
+                taken.clear()
+                try:
+                    find_divisor(phi, tol=tol)
+                except Exception as exc:  # a refusal ends the path
+                    taken.append(type(exc).__name__)
+                out.append("%s %g %s" % (key, tol,
+                                         " ".join(taken) or "kernel"))
+    finally:
+        divisibility._reduction_search = search
+    return out
+
+
 def io_lines(frames: dict) -> list:
     """Each frame read back from a JSON and a CSV file, then each
     malformed text's outcome."""
@@ -304,6 +335,8 @@ def main():
     for sizes, lines in packings().items():
         print("pack %-6s htf_divisor_of_size %12d %s" % (sizes, len(lines),
                                                        digest(lines)))
+    lines = path_lines(frames)
+    print("path find_divisor %26d %s" % (len(lines), digest(lines)))
     lines = io_lines(frames)
     print("io  read_frame, read_vector %16d %s" % (len(lines), digest(lines)))
     lines = cli_lines()

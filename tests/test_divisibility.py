@@ -903,36 +903,47 @@ def test_reduction_hands_over_on_divisor_rich_frames():
     assert find_divisor(phi).subset == (1, 2, 3)
 
 
-def test_low_rank_frames_try_only_the_greedy_pivots(monkeypatch):
-    # the traceless coordinates of these frames have fewer live rows than
-    # pivots the largest-norm choice would take, so that choice (a
-    # singular Gram matrix) is skipped, and the greedy choice factors its
-    # pivots once, inside its own loop; full-rank frames still take the
-    # largest-norm choice, through LAPACK
+def live_coordinate_rank(coords, n):
+    """The traceless coordinates that are live on some column (sum of
+    squares over the columns above _PIVOT_FLOOR times the total), with
+    the n diagonal ones counted one less, since they sum to zero."""
+    traceless = coords[:, :-1]
+    squares = np.einsum("ij,ij->j", traceless, traceless)
+    live = squares > divisibility._PIVOT_FLOOR * squares.sum()
+    return int(live[n:].sum()) + max(int(live[:n].sum()) - 1, 0)
+
+
+def test_every_set_up_takes_the_greedy_pivots_once(monkeypatch):
+    # low-rank frames (DFT rows, a Parseval extension, a tetris frame)
+    # and full-rank ones alike: one pivoted Cholesky run picks the pivots
+    # and factors them, no np.linalg routine runs, and the floors stop it
+    # at the rank of the live coordinates
+    cases = [(phi, live_coordinate_rank(_coordinates(phi.entries), phi.n),
+              check_tight(phi).bound)
+             for phi in (dft_row_frame(2, 13), prime_parseval_extension(3, 12),
+                         stf(5, 13), random_tight_frame(3, 12, 0),
+                         random_tight_frame(4, 24, 0))]
+    assert [rank for _, rank, _ in cases] == [2, 2, 8, 5, 9]
     calls = []
 
     def counted(name, call):
-        return lambda *args: calls.append(name) or call(*args)
+        return lambda *args, **kwargs: (calls.append(name)
+                                        or call(*args, **kwargs))
 
-    for name in ("cholesky", "inv"):
-        monkeypatch.setattr(np.linalg, name,
-                            counted(name, getattr(np.linalg, name)))
+    for name in np.linalg.__all__:
+        call = getattr(np.linalg, name)
+        if not isinstance(call, type):
+            monkeypatch.setattr(np.linalg, name, counted(name, call))
     monkeypatch.setattr(divisibility, "_greedy_pivots", counted(
         "greedy", divisibility._greedy_pivots))
-    for phi, rank, largest in ((dft_row_frame(2, 13), 2, False),
-                               (prime_parseval_extension(3, 12), 2, False),
-                               (stf(5, 13), 8, False),
-                               (random_tight_frame(3, 12, 0), 5, True)):
+    for phi, rank, bound in cases:
         calls.clear()
-        coords = _coordinates(phi.entries)
         found = divisibility._pivot_reduction(
-            coords, range(phi.m), phi.n, check_tight(phi).bound, 1e-9)
+            _coordinates(phi.entries), range(phi.m), phi.n, bound, 1e-9)
         assert found is not None and len(found[0]) == rank
-        if largest:
-            norms = np.einsum("ij,ij->i", coords[:, :-1], coords[:, :-1])
-            assert found[0] == sorted(range(1, phi.m), key=norms.__getitem__,
-                                      reverse=True)[:rank]
-        assert calls == (["cholesky", "inv"] if largest else ["greedy"])
+        assert calls == ["greedy"]
+    # the nine columns of largest norm as pivots give mu of about 1e-3
+    assert found[2] < 1e-6
 
 
 def count_redecisions(monkeypatch, call):

@@ -596,15 +596,31 @@ def test_htf_divisor_of_size_formerly_hanging_sizes(n, m, size):
     assert_tight_packing(n, m, size, subset)
 
 
-@pytest.mark.parametrize("n, m, size", [(4, 36, 13)])
+# the divisible sizes of (4, 36) with no coset packing.  The cosets have
+# 4, 6, 9, 12, 18 or 36 points, and every sum of those giving one of
+# these sizes holds a 9 and a 4 (13 = 9 + 4, 17 = 9 + 4 + 4,
+# 19 = 9 + 6 + 4, 23 = 9 + 6 + 4 + 4); a 9-coset and a 4-coset always
+# meet, since their steps 4 and 9 are coprime
+UNPACKABLE_4_36 = (13, 17, 19, 23)
+
+
+@pytest.mark.parametrize("n, m, size",
+                         [(4, 36, size) for size in UNPACKABLE_4_36])
 def test_htf_divisor_of_size_refutes_impossible_packings(n, m, size):
-    # 13 = 9 + 4 in Z_36: a 9-coset and a 4-coset always meet, since the
-    # steps 4 and 9 are coprime; the complement size 23 is refuted too
     assert size in divisor_sets(n, m).divisible_sizes
     start = time.perf_counter()
     with pytest.raises(PackingError):
         htf_divisor_of_size(HtfParams(n, m), size)
     assert time.perf_counter() - start < 1.0
+
+
+def test_htf_divisor_of_size_packs_every_other_size_of_4_36():
+    sizes = [size for size in divisor_sets(4, 36).divisible_sizes
+             if size not in UNPACKABLE_4_36]
+    assert len(sizes) == 19
+    for size in sizes:
+        assert_tight_packing(4, 36, size,
+                             htf_divisor_of_size(HtfParams(4, 36), size))
 
 
 @pytest.mark.parametrize("n, m, size", [(4, 84, 67), (5, 120, 101)])
