@@ -4,49 +4,29 @@ htf, stf, random and extendprime build a frame through one handler;
 sets, factor and transform write what their library calls return.  The
 rest do more than one call: analyze adds equiangularity and, with
 --factor, a prime factorization to the tightness check; grid checks the
-closed forms against the subset search; bench times the fast transform
-against the size-m reference, and stays until its removal, an open
-ROADMAP item, is confirmed.  Every subcommand writes a machine-readable
-payload (JSON by default, CSV for matrices on request) to stdout or
---output.  Exit codes: 0 on success, 1 on a domain error (infeasible
-construction, non-tight input, bad parameters, a refused search, no
-memory), 2 on a usage error.  FRAMES_TOL, when set, overrides the
-default tightness tolerance of 1e-9 for analyze and factor when --tol
-is not given.
+closed forms against the subset search.  Every subcommand writes a
+machine-readable payload (JSON by default, CSV for matrices on request)
+to stdout or --output.  Exit codes: 0 on success, 1 on a domain error
+(infeasible construction, non-tight input, bad parameters, a refused
+search, no memory), 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
-import time
-
-import numpy as np
 
 from . import io
 from .divisibility import (is_prime_bruteforce, prime_factor_size_multisets,
                            prime_factorization)
 from .errors import FrameError, NotTightError
-from .frames import (DEFAULT_TOL, _check_tol, check_equiangular, check_tight,
+from .frames import (DEFAULT_TOL, check_equiangular, check_tight,
                      prime_parseval_extension, random_tight_frame)
 from .harmonic import HtfParams, divisor_sets, htf, htf_is_prime
 from .tetris import (stf, stf_is_divisible, stf_low_redundancy,
                      stf_low_redundancy_feasible)
-from .transform import analyze_fast, analyze_naive, plan, synthesize_fast
-
-
-def _tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    raw = os.environ.get("FRAMES_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return _check_tol(float(raw))
-    except ValueError as exc:
-        raise ValueError("FRAMES_TOL=%s: %s" % (raw, exc)) from None
+from .transform import analyze_fast, plan, synthesize_fast
 
 
 def _write(text: str, path):
@@ -69,7 +49,7 @@ def cmd_frame(args):
 
 def cmd_analyze(args):
     phi = io.read_frame(args.input)
-    tol = _tol(args)
+    tol = args.tol
     report = check_tight(phi, tol)
     if not report.is_tight:
         raise NotTightError(
@@ -89,7 +69,7 @@ def cmd_analyze(args):
 
 def cmd_factor(args):
     phi = io.read_frame(args.input)
-    tol = _tol(args)
+    tol = args.tol
     payload = prime_factorization(phi, tol, args.force).to_json_obj()
     if args.all_minimal:
         payload["size_multisets"] = [
@@ -112,35 +92,6 @@ def cmd_transform(args):
         out = synthesize_fast(tplan, vec)
     writer = io.vector_to_csv if args.format == "csv" else io.vector_to_json
     _write(writer(out), args.output)
-    return 0
-
-
-def cmd_bench(args):
-    """Median ns of analyze_fast and analyze_naive, each timed once per
-    seeded random signal after one warm-up call."""
-    n, m, p, trials = args.n, args.m, args.p, args.trials
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if args.seed < 0:
-        raise ValueError("seed must be non-negative")
-    tplan = plan(n, m, p)
-    rng = np.random.default_rng(args.seed)
-    signals = (rng.standard_normal((trials, n))
-               + 1j * rng.standard_normal((trials, n)))
-    analyze_fast(tplan, signals[0])
-    analyze_naive(n, m, signals[0])
-    fast_ns = []
-    naive_ns = []
-    for x in signals:
-        t0 = time.perf_counter_ns()
-        analyze_fast(tplan, x)
-        fast_ns.append(time.perf_counter_ns() - t0)
-        t0 = time.perf_counter_ns()
-        analyze_naive(n, m, x)
-        naive_ns.append(time.perf_counter_ns() - t0)
-    _emit_obj({"n": n, "m": m, "p": p, "trials": trials,
-               "fast_median_ns": int(np.median(fast_ns)),
-               "naive_median_ns": int(np.median(naive_ns))}, args)
     return 0
 
 
@@ -205,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     shape.add_argument("--m", type=int, required=True)
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--input", required=True)
-    source.add_argument("--tol", type=float, default=None)
+    source.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     sub = subs.add_parser("htf", parents=[shape],
                           help="harmonic tight frame matrix")
@@ -261,15 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--input", required=True)
     _add_frame_output(sub)
     sub.set_defaults(handler=cmd_transform)
-
-    sub = subs.add_parser("bench", parents=[shape],
-                          help="time the fast path against the "
-                               "size-m reference transform")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--trials", type=int, required=True)
-    sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--output", default=None)
-    sub.set_defaults(handler=cmd_bench)
 
     sub = subs.add_parser("grid", parents=[search],
                           help="primality/divisibility table over a grid")

@@ -106,8 +106,8 @@ from math import comb, sqrt
 import numpy as np
 
 from .errors import NotTightError, SearchCapError
-from .frames import DEFAULT_TOL, FrameMatrix, _bound_and_residual, _check_tol
-from .numtheory import check_integers, is_int
+from .frames import DEFAULT_TOL, FrameMatrix, _bound_and_residual
+from .numtheory import check_integers, check_positive, is_int
 
 SEARCH_CAP = 26
 _BUDGET = 1 << (SEARCH_CAP - 1)
@@ -315,7 +315,7 @@ def _accepted(entries: np.ndarray, idx, bound: float, tol: float):
 
 def _require_tight(entries: np.ndarray, tol: float) -> float:
     """The bound of ``entries``; raise unless tol is valid and it is tight."""
-    _check_tol(tol)
+    check_positive("tol", tol)
     bound, residual = _bound_and_residual(entries)
     if not (residual <= tol and bound > tol):
         raise NotTightError(
@@ -771,7 +771,7 @@ def tight_subsets(phi: FrameMatrix, size: int, tol: float = DEFAULT_TOL,
     """All subsets of the given size that are tight with positive bound."""
     if not (is_int(size) and 1 <= size <= phi.m):
         raise ValueError("size out of range")
-    _check_tol(tol)
+    check_positive("tol", tol)
     _check_budget(phi.n, force, _kernel_rows(phi.m, (size,), False))
     hits = _tight_parts(phi.entries, _coordinates(phi.entries),
                         range(phi.m), (size,), False, np.inf, tol)

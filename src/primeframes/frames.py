@@ -138,8 +138,8 @@ class EquivalenceData:
     """A pointwise frame equivalence: psi_i = scalars[i] * U phi[perm[i]].
 
     ``unitary`` is n x n, ``permutation`` is a 1-based bijection of
-    {1..m}, and ``scalars`` all share one modulus.  Applying such a map
-    preserves tightness, coherence, and primality verdicts.
+    {1..m}, and ``scalars`` all share one non-zero modulus.  Applying
+    such a map preserves tightness, coherence, and primality verdicts.
     """
 
     unitary: np.ndarray
@@ -166,15 +166,9 @@ def frame_operator(phi: FrameMatrix) -> np.ndarray:
     return phi.entries @ phi.entries.conj().T
 
 
-def _check_tol(tol: float) -> float:
-    """Return ``tol`` if it is a real number with 0 < tol < inf, else
-    raise ValueError: the one rule for every ``tol`` of the library."""
-    return check_positive("tol", tol)
-
-
 def check_tight(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> TightnessReport:
     """Decide whether Phi Phi* = A I for the fitted bound A."""
-    _check_tol(tol)
+    check_positive("tol", tol)
     bound, residual = _bound_and_residual(phi.entries)
     return TightnessReport(residual <= tol and bound > tol, bound, residual, tol)
 
@@ -187,6 +181,8 @@ def verify_reconstruction(phi: FrameMatrix, x, tol: float = DEFAULT_TOL) -> bool
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (phi.n,):
         raise ValueError("signal length must equal the frame dimension")
+    if not np.isfinite(x).all():
+        raise ValueError("signal must be finite")
     coeff = phi.entries.conj().T @ x
     rebuilt = phi.entries @ coeff / report.bound
     scale = np.linalg.norm(x)
@@ -197,7 +193,7 @@ def verify_reconstruction(phi: FrameMatrix, x, tol: float = DEFAULT_TOL) -> bool
 
 def canonical_parseval(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> FrameMatrix:
     """The Parseval frame S^{-1/2} Phi associated with a spanning frame."""
-    _check_tol(tol)
+    check_positive("tol", tol)
     s = frame_operator(phi)
     eigval, eigvec = np.linalg.eigh(s)
     if eigval[0] <= tol * eigval[-1]:
@@ -234,7 +230,7 @@ def check_equiangular(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> Equiangular
     all norms are 1 within tol.  ``common_angle`` is the mean pairwise
     modulus, meaningful only when is_equiangular holds.
     """
-    _check_tol(tol)
+    check_positive("tol", tol)
     if phi.m < 2:
         raise ValueError("equiangularity needs at least two frame vectors")
     norms = phi.column_norms()
@@ -256,7 +252,7 @@ def check_equiangular(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> Equiangular
 def apply_equivalence(phi: FrameMatrix, eq: EquivalenceData,
                       tol: float = DEFAULT_TOL) -> FrameMatrix:
     """Apply psi_i = c_i U phi_{perm(i)} after validating the equivalence data."""
-    _check_tol(tol)
+    check_positive("tol", tol)
     u = np.asarray(eq.unitary, dtype=np.complex128)
     if u.shape != (phi.n, phi.n):
         raise ValueError("unitary must be n x n")
@@ -272,6 +268,8 @@ def apply_equivalence(phi: FrameMatrix, eq: EquivalenceData,
     if c.shape != (phi.m,):
         raise ValueError("scalars must have length m")
     moduli = np.abs(c)
+    if not moduli.all():
+        raise ValueError("scalars must be non-zero")
     if moduli.max() - moduli.min() > tol * max(moduli.max(), 1.0):
         raise ValueError("scalars must share a common modulus")
     out = (u @ phi.entries[:, [p - 1 for p in perm]]) * c[None, :]

@@ -24,9 +24,7 @@ order (frame index k m/p + q for row k, column q-1), and synthesis
 reads the coefficients back in the same layout.  Every function takes
 a batch of signals or coefficient vectors along leading axes; each one
 is transformed exactly as it would be alone, since the products are
-stacked matrix-vector products and the FFTs run column by column.  The
-CLI ``bench`` subcommand times ``analyze_fast`` against
-``analyze_naive``.
+stacked matrix-vector products and the FFTs run column by column.
 """
 
 from __future__ import annotations

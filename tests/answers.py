@@ -112,9 +112,9 @@ CLI_FRAMES = (
     ("one.csv", [(2,)]),
     ("lopsided.json", [(1, 0), (0, 1), (1, 1)]),
 )
-# the primeframes lines of README's command block but the timing one,
-# then each subcommand that reads a frame on each of CLI_FRAMES; at tol
-# 0.6 the 3 x 2 frame passes as tight
+# the primeframes lines of README's command block, then each
+# subcommand that reads a frame on each of CLI_FRAMES; at tol 0.6 the
+# 3 x 2 frame passes as tight
 CLI_ARGVS = [argv.split() for argv in (
     "htf --n 2 --m 5 --format csv",
     "stf --n 4 --m 11 --format csv",
@@ -298,7 +298,6 @@ def cli_lines() -> list:
     """Each argv of CLI_ARGVS with what ``cli.main`` returns and prints."""
     out = []
     start = os.getcwd()
-    saved = os.environ.pop("FRAMES_TOL", None)
     with tempfile.TemporaryDirectory() as folder:
         os.chdir(folder)
         try:
@@ -316,8 +315,6 @@ def cli_lines() -> list:
                 out.append(line.replace(folder, "<tmp>"))
         finally:
             os.chdir(start)
-            if saved is not None:
-                os.environ["FRAMES_TOL"] = saved
     return out
 
 

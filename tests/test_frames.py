@@ -166,6 +166,9 @@ def test_reconstruction_identity():
         verify_reconstruction(lopsided, [1.0, 0.0])
     with pytest.raises(ValueError, match="^signal length must equal"):
         verify_reconstruction(phi, [1.0, 2.0, 3.0])
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        with pytest.raises(ValueError, match="^signal must be finite$"):
+            verify_reconstruction(phi, [1.0, bad])
     assert verify_reconstruction(phi, [0.0, 0.0]) is True
 
 
@@ -276,7 +279,8 @@ def test_apply_equivalence_validation():
             (np.eye(2), (1, 1, 3, 4), np.ones(4), "permutation must be a"),
             (np.eye(2), (1, 2, 3, 4), np.array([1, 1, 1, 2.0]),
              "scalars must share"),
-            (np.eye(2), (1, 2, 3, 4), np.ones(3), "scalars must have length")):
+            (np.eye(2), (1, 2, 3, 4), np.ones(3), "scalars must have length"),
+            (np.eye(2), (1, 2, 3, 4), np.zeros(4), "scalars must be non-zero")):
         with pytest.raises(ValueError, match=message):
             apply_equivalence(phi, EquivalenceData(unitary, perm, scalars))
 
