@@ -26,8 +26,8 @@ from .harmonic import (DivisorSets, HtfParams, divisor_sets, htf,
                        htf_prime_factors, index_coset, is_balancing,
                        vanishing_subsum_check)
 from .tetris import (StfFactorization, TetrisSchedule, stf, stf_factorize,
-                     stf_is_divisible, stf_low_redundancy,
-                     stf_low_redundancy_feasible, stf_schedule)
+                     stf_is_divisible, stf_low_redundancy_feasible,
+                     stf_schedule)
 from .transform import (HtfTransformPlan, analyze_fast, analyze_naive, plan,
                         synthesize_fast)
 
@@ -52,6 +52,6 @@ __all__ = [
     "htf_prime_factors", "htf_divisor_of_size", "htf_coherence",
     "vanishing_subsum_check",
     "stf_schedule", "stf", "stf_is_divisible", "stf_factorize",
-    "stf_low_redundancy_feasible", "stf_low_redundancy",
+    "stf_low_redundancy_feasible",
     "plan", "analyze_fast", "analyze_naive", "synthesize_fast",
 ]

@@ -8,7 +8,7 @@ closed forms against the subset search.  Every subcommand writes a
 machine-readable payload (JSON by default, CSV for matrices on request)
 to stdout or --output.  Exit codes: 0 on success, 1 on a domain error
 (infeasible construction, non-tight input, bad parameters, a refused
-search, no memory), 2 on a usage error.
+search, no memory, numeric overflow), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from . import io
 from .divisibility import (is_prime_bruteforce, prime_factor_size_multisets,
                            prime_factorization)
@@ -24,8 +26,7 @@ from .errors import FrameError, NotTightError
 from .frames import (DEFAULT_TOL, check_equiangular, check_tight,
                      prime_parseval_extension, random_tight_frame)
 from .harmonic import HtfParams, divisor_sets, htf, htf_is_prime
-from .tetris import (stf, stf_is_divisible, stf_low_redundancy,
-                     stf_low_redundancy_feasible)
+from .tetris import stf, stf_is_divisible, stf_low_redundancy_feasible
 from .transform import analyze_fast, plan, synthesize_fast
 
 
@@ -167,11 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("stf", parents=[shape],
                           help="sparse (spectral tetris) tight frame")
-    sub.add_argument("--low-redundancy", action="store_true",
-                     help="use the n < m < 2n construction")
     _add_frame_output(sub)
-    sub.set_defaults(handler=cmd_frame, build=lambda a: (
-        stf_low_redundancy if a.low_redundancy else stf)(a.n, a.m))
+    sub.set_defaults(handler=cmd_frame, build=lambda a: stf(a.n, a.m))
 
     sub = subs.add_parser("random", parents=[shape],
                           help="random real tight frame, bound 1")
@@ -232,7 +230,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (FrameError, ValueError, OSError, MemoryError) as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            return args.handler(args)
+    except (FrameError, ValueError, OSError, MemoryError,
+            FloatingPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

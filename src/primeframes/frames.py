@@ -170,7 +170,8 @@ def check_tight(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> TightnessReport:
     """Decide whether Phi Phi* = A I for the fitted bound A."""
     check_positive("tol", tol)
     bound, residual = _bound_and_residual(phi.entries)
-    return TightnessReport(residual <= tol and bound > tol, bound, residual, tol)
+    return TightnessReport(bool(residual <= tol and bound > tol), bound,
+                           residual, tol)
 
 
 def verify_reconstruction(phi: FrameMatrix, x, tol: float = DEFAULT_TOL) -> bool:
@@ -242,7 +243,7 @@ def check_equiangular(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> Equiangular
     wb = welch_bound(phi.n, phi.m) if phi.m >= phi.n else 0.0
     return EquiangularityReport(
         is_unit_norm=unit,
-        is_equiangular=unit and spread <= tol,
+        is_equiangular=bool(unit and spread <= tol),
         common_angle=float(off.mean()),
         max_abs_inner=float(off.max()),
         welch_bound=wb,
@@ -331,14 +332,12 @@ def prime_parseval_extension(n: int, m: int) -> FrameMatrix:
 def dft_row_frame(n: int, m: int) -> FrameMatrix:
     """First n rows of the m x m DFT, columns scaled to unit norm; m prime.
 
-    Prime m makes every proper subset of columns non-tight, so the result
-    is a prime unit-norm tight frame with bound m/n.
+    This is the harmonic frame ``htf(HtfParams(n, m))``, refused unless m
+    is prime.  Prime m makes every proper subset of columns non-tight, so
+    the result is a prime unit-norm tight frame with bound m/n.
     """
-    check_integers(n=n, m=m)
-    if not 1 <= n <= m:
-        raise ValueError("need 1 <= n <= m")
+    from .harmonic import HtfParams, htf  # harmonic imports this module
+    params = HtfParams(n, m)
     if not is_prime_int(m):
         raise InfeasibleError("m = %d is not prime" % m)
-    powers = np.outer(np.arange(n), np.arange(m)) % m
-    entries = np.exp(2j * np.pi * powers / m) / math.sqrt(n)
-    return FrameMatrix(entries, "complex")
+    return htf(params)

@@ -78,7 +78,7 @@ def dumps(obj) -> str:
 
 
 def _emit(o, out):
-    if isinstance(o, bool) or o is None:
+    if isinstance(o, (bool, np.bool_)) or o is None:
         out.append("null" if o is None else ("true" if o else "false"))
     elif isinstance(o, (int, np.integer)):
         out.append(str(int(o)))

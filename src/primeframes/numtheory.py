@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -22,12 +23,12 @@ def check_integers(**values) -> None:
 
 
 def check_positive(name: str, value):
-    """Return ``value`` if it is a real number with 0 < value < inf, else
-    raise ValueError naming it.  Bools and complex numbers are refused,
-    NaN fails the comparison, and a value that does not compare with a
-    float (a string, None) is refused instead of raising TypeError."""
+    """Return ``value`` if it is a ``numbers.Real`` but not a bool, with
+    0 < value < inf, else raise ValueError naming it.  A string, None, a
+    complex number, a Decimal, NaN, or a Real that does not compare with
+    a float (a timedelta64) is refused instead of raising TypeError."""
     try:
-        if (not isinstance(value, (bool, np.bool_, np.complexfloating))
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
                 and 0.0 < value < math.inf):
             return value
     except TypeError:

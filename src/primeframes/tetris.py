@@ -91,9 +91,12 @@ def _check_standard(n: int, m: int):
 def _schedule_seqs(n: int, m: int):
     """The ones per row and the remainder numerators R_j = n r_j, as lists.
 
-    Raises InfeasibleError when a row budget goes negative, which can
-    happen only for m < 2n.
+    Raises ValueError unless 1 <= n < m, and InfeasibleError when a row
+    budget goes negative, which can happen only for m < 2n.
     """
+    check_integers(n=n, m=m)
+    if not 1 <= n < m:
+        raise ValueError("need 1 <= n < m")
     ones, rems = [], []
     rem = 0
     for j in range(1, n + 1):
@@ -109,8 +112,7 @@ def _schedule_seqs(n: int, m: int):
 
 
 def stf_schedule(n: int, m: int) -> TetrisSchedule:
-    """Schedule for the standard (redundancy >= 2) construction."""
-    _check_standard(n, m)
+    """Column plan of ``stf(n, m)``; raises as ``stf`` does."""
     ones, rems = _schedule_seqs(n, m)
     g = math.gcd(n, m)
     return TetrisSchedule(n, m, Fraction(m, n),
@@ -139,8 +141,11 @@ def _assemble(n: int, m: int):
 
 
 def stf(n: int, m: int) -> FrameMatrix:
-    """The sparse unit-norm tight frame with bound m/n, for m >= 2n."""
-    _check_standard(n, m)
+    """The sparse unit-norm tight frame with bound m/n, for 1 <= n < m.
+
+    For n < m < 2n it exists iff ``stf_low_redundancy_feasible(n, m)``;
+    otherwise InfeasibleError names the row whose budget goes negative.
+    """
     return _assemble(n, m)[0]
 
 
@@ -165,18 +170,6 @@ def stf_low_redundancy_feasible(n: int, m_tilde: int) -> bool:
     if not n < m_tilde < 2 * n:
         raise ValueError("need n < m_tilde < 2n")
     return stf_is_divisible(n, m_tilde + n)
-
-
-def stf_low_redundancy(n: int, m_tilde: int) -> FrameMatrix:
-    """The sparse unit-norm tight frame with n < m_tilde < 2n vectors.
-
-    Raises InfeasibleError when no such tetris frame exists (some row
-    budget would go negative).
-    """
-    check_integers(n=n, m_tilde=m_tilde)
-    if not n < m_tilde < 2 * n:
-        raise ValueError("need n < m_tilde < 2n")
-    return _assemble(n, m_tilde)[0]
 
 
 def stf_factorize(n: int, m: int) -> StfFactorization:

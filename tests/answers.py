@@ -118,7 +118,7 @@ CLI_FRAMES = (
 CLI_ARGVS = [argv.split() for argv in (
     "htf --n 2 --m 5 --format csv",
     "stf --n 4 --m 11 --format csv",
-    "stf --n 4 --m 7 --low-redundancy",
+    "stf --n 4 --m 7",
     "random --n 3 --m 8 --seed 0",
     "extendprime --n 3 --m 7",
     "htf --n 2 --m 10 --output ten.json",

@@ -22,8 +22,8 @@ from primeframes import (HtfParams, check_equiangular, check_tight,
                          coherence, index_coset, is_prime_bruteforce, plan,
                          prime_factorization, prime_parseval_extension,
                          random_tight_frame, stf, stf_factorize,
-                         stf_is_divisible, stf_low_redundancy,
-                         stf_low_redundancy_feasible, synthesize_fast,
+                         stf_is_divisible, stf_low_redundancy_feasible,
+                         synthesize_fast,
                          tight_subsets, welch_bound)
 from primeframes.io import frame_from_csv, read_frame
 
@@ -73,7 +73,7 @@ def test_criterion_02_factorization_identity_4x11():
         fact = stf_factorize(4, 11)
         assert fact.basis_copies == 1
         assert fact.basis_indices == ((1, 5, 8, 11),)
-        reduced = stf_low_redundancy(4, 7)
+        reduced = stf(4, 7)
         assert (columns_as_multiset(fact.prime_core.entries, 12)
                 == columns_as_multiset(reduced.entries, 12))
 
@@ -147,7 +147,7 @@ def test_criterion_06_low_redundancy_characterization():
                           or (n % d == 0 and m_tilde % d == 0))
                 assert stf_low_redundancy_feasible(n, m_tilde) == closed
         for n, m_tilde in ((4, 7), (2, 3)):
-            phi = stf_low_redundancy(n, m_tilde)
+            phi = stf(n, m_tilde)
             assert np.max(np.abs(phi.column_norms() - 1.0)) <= 1e-12
             rep = check_tight(phi, 1e-12)
             assert rep.is_tight and abs(rep.bound - m_tilde / n) <= 1e-12

@@ -66,10 +66,9 @@ CLI_SURFACE = [
      "[--output OUTPUT]",
      "command='htf', n=2, m=4, s=1.0, format='json', output=None"),
     (["stf", "--n", "4", "--m", "11"],
-     "usage: primeframes stf [-h] --n N --m M [--low-redundancy] "
-     "[--format {json,csv}] [--output OUTPUT]",
-     "command='stf', n=4, m=11, low_redundancy=False, format='json', "
-     "output=None"),
+     "usage: primeframes stf [-h] --n N --m M [--format {json,csv}] "
+     "[--output OUTPUT]",
+     "command='stf', n=4, m=11, format='json', output=None"),
     (["random", "--n", "3", "--m", "8", "--seed", "0"],
      "usage: primeframes random [-h] --n N --m M --seed SEED "
      "[--format {json,csv}] [--output OUTPUT]",
@@ -146,18 +145,37 @@ def test_stf_written_to_file(tmp_path, capsys):
 
 
 def test_stf_low_redundancy_flag(capsys):
-    code, out, _ = run_cli(capsys, ["stf", "--n", "4", "--m", "7",
-                                    "--low-redundancy"])
+    # stf builds every n < m < 2n where the construction exists, so the
+    # flag that once chose that construction is gone: a usage error
+    code, out, _ = run_cli(capsys, ["stf", "--n", "4", "--m", "7"])
     assert code == 0
-    assert json.loads(out)["m"] == 7
-    code, _, err = run_cli(capsys, ["stf", "--n", "3", "--m", "4",
-                                    "--low-redundancy"])
-    assert code == 1 and err.startswith("error:")
+    assert np.array_equal(frame_from_json_obj(json.loads(out)).entries,
+                          stf(4, 7).entries)
+    with pytest.raises(SystemExit) as exc:
+        main(["stf", "--n", "4", "--m", "7", "--low-redundancy"])
+    assert exc.value.code == 2
+    assert "--low-redundancy" in capsys.readouterr().err
 
 
 def test_stf_infeasible_shape_fails(capsys):
-    code, _, err = run_cli(capsys, ["stf", "--n", "4", "--m", "7"])
-    assert code == 1 and "error:" in err
+    for n, m in ((5, 7), (3, 4)):
+        code, _, err = run_cli(capsys, ["stf", "--n", str(n), "--m", str(m)])
+        assert code == 1 and err.startswith("error:")
+
+
+def test_overflowing_frame_operator_is_one_error_line(tmp_path, capsys):
+    # 1e200 I_2 is tight, but its frame operator overflows: numpy's
+    # overflow and invalid-value warnings once reached stderr ahead of a
+    # "residual nan" error, or ended in a traceback under -W error
+    path = os.path.join(tmp_path, "big.json")
+    with open(path, "w") as handle:
+        json.dump({"n": 2, "m": 2, "field": "real",
+                   "columns": [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]},
+                  handle)
+    for command in ("analyze", "factor"):
+        code, out, err = run_cli(capsys, [command, "--input", path])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_htf_infinite_s_is_one_error_line():

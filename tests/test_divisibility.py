@@ -829,6 +829,20 @@ def test_dependent_pivots_are_refused():
         assert find_divisor(phi) == reference_find_divisor(phi, 1e-9)
 
 
+def test_no_column_clears_a_loose_pivot_floor():
+    # at these tols the pivot floor (64 margin)^2 exceeds every column's
+    # residual norm^2, so no pivot is chosen, the reduction is refused
+    # and the kernel gives the certificate
+    for phi, tol, first in ((htf(HtfParams(2, 14)), 0.5, (1, 6)),
+                            (htf(HtfParams(3, 16)), 0.3, (1, 6, 11))):
+        coords = _coordinates(phi.entries)
+        assert divisibility._pivot_reduction(
+            coords, range(phi.m), phi.n, check_tight(phi).bound, tol) is None
+        cert = find_divisor(phi, tol=tol)
+        assert cert == reference_find_divisor(phi, tol)
+        assert cert.subset == first
+
+
 def test_proof_path_decides_large_frames_quickly():
     # the first pivot's forcing row of stf(25, 73) touches 3 of its 24
     # free columns and passes about 37% of the assignments; the row with

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from primeframes import (EquivalenceData, FrameMatrix, NotTightError,
                          HtfParams, InfeasibleError, is_prime_bruteforce,
                          htf_prime_factors, prime_parseval_extension,
                          random_tight_frame, stf, stf_factorize,
-                         stf_low_redundancy, verify_reconstruction,
-                         welch_bound)
+                         verify_reconstruction, welch_bound)
 from primeframes.frames import _bound_and_residual
 from primeframes.io import (frame_from_csv, frame_from_json_obj, frame_to_csv,
                             frame_to_json_obj)
@@ -56,7 +56,7 @@ def test_library_built_frames_pass_the_public_checks():
     # hand over what the constructor would have made
     phi = htf(HtfParams(3, 12, 2.5))
     built = [phi, phi.submatrix((2, 5, 7)), stf(4, 11), stf(4, 14).submatrix(
-        (1, 2)), stf_low_redundancy(4, 6), stf_factorize(4, 14).prime_core,
+        (1, 2)), stf(4, 6), stf_factorize(4, 14).prime_core,
         *htf_prime_factors(HtfParams(3, 12), 3),
         frame_from_csv(frame_to_csv(phi)), frame_from_csv(frame_to_csv(
             stf(3, 7))), frame_from_json_obj(frame_to_json_obj(stf(3, 7)))]
@@ -102,6 +102,8 @@ def test_check_tight_verdicts():
     assert not check_tight(lopsided).is_tight
     with pytest.raises(ValueError):
         check_tight(lopsided, tol=0.0)
+    # a numpy tol must not turn the verdict into a numpy bool
+    assert type(check_tight(stf(4, 11), np.float32(1e-6)).is_tight) is bool
 
 
 def test_check_tight_rejects_non_finite_tol():
@@ -124,7 +126,7 @@ TOL_TAKERS = [
     ("find_divisor", lambda tol: find_divisor(PHI_2_6, tol=tol)),
 ]
 BAD_TOLS = [True, np.True_, "a", None, 1j, np.complex128(1e-3), -1.0, 0,
-            math.nan]
+            math.nan, Decimal("1e-9")]
 
 
 @pytest.mark.parametrize("name, call", TOL_TAKERS,
@@ -252,6 +254,8 @@ def test_coherence_dominates_welch_bound():
 def test_equiangularity_reports():
     rep = check_equiangular(mercedes_frame())
     assert rep.is_unit_norm and rep.is_equiangular
+    rep = check_equiangular(mercedes_frame(), np.float32(1e-6))
+    assert type(rep.is_equiangular) is bool and rep.is_equiangular
     assert abs(rep.common_angle - 0.5) < 1e-12
     assert abs(rep.common_angle - rep.welch_bound) < 1e-12
     rep = check_equiangular(htf(HtfParams(2, 4)))
@@ -331,6 +335,13 @@ def test_prime_parseval_extension_shapes():
     for n, m in ((3, 2), (0, 2)):
         with pytest.raises(ValueError, match=r"^need 1 <= n <= m$"):
             prime_parseval_extension(n, m)
+
+
+def test_dft_row_frame_is_the_prime_harmonic_frame():
+    # one construction: the entries are htf's, bit for bit
+    for n, m in ((1, 2), (2, 5), (3, 7), (3, 13), (2, 11), (5, 31)):
+        assert (dft_row_frame(n, m).entries.tobytes()
+                == htf(HtfParams(n, m)).entries.tobytes()), (n, m)
 
 
 def test_dft_row_frame_values():

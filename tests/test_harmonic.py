@@ -14,7 +14,7 @@ from primeframes import (DivisorSets, EquivalenceData, FrameMatrix, HtfParams,
                          htf_is_prime, htf_prime_factors, index_coset,
                          is_balancing, is_prime_bruteforce, plan,
                          prime_parseval_extension, random_tight_frame, stf,
-                         stf_factorize, stf_is_divisible, stf_low_redundancy,
+                         stf_factorize, stf_is_divisible,
                          stf_low_redundancy_feasible, stf_schedule,
                          vanishing_subsum_check, welch_bound)
 from primeframes import harmonic
@@ -67,7 +67,7 @@ NON_INTEGER_SHAPES = [
     ("n", stf, (3.0, 7)), ("m", stf_schedule, (3, 7.0)),
     ("n", stf_factorize, (True, 7)), ("m", stf_is_divisible, (2, 7.5)),
     ("n", stf_low_redundancy_feasible, (3.0, 4)),
-    ("m_tilde", stf_low_redundancy, (4, 6.0)),
+    ("m", stf, (4, 6.0)),
     ("n", random_tight_frame, (2.0, 5, 0)),
     ("seed", random_tight_frame, (2, 5, 0.5)),
     ("m", prime_parseval_extension, (2, 5.0)),

@@ -236,6 +236,7 @@ def pair_grids(draw):
 def test_dumps_formats_floats_at_17_digits():
     assert dumps({"x": 1 / 3}) == '{"x": 0.33333333333333331}'
     assert dumps([1.0, 2, True, False, None]) == "[1, 2, true, false, null]"
+    assert dumps([np.True_, np.False_]) == "[true, false]"
     assert dumps("a\"b") == '"a\\"b"'
     assert dumps({"k": [1e-300]}) == '{"k": [1e-300]}'
     assert dumps(1.5e-300) == "1.5000000000000001e-300"

@@ -9,8 +9,8 @@ import pytest
 from conftest import columns_as_multiset
 from primeframes import (FrameMatrix, InfeasibleError, TetrisSchedule,
                          check_tight, is_prime_bruteforce, stf, stf_factorize,
-                         stf_is_divisible, stf_low_redundancy,
-                         stf_low_redundancy_feasible, stf_schedule)
+                         stf_is_divisible, stf_low_redundancy_feasible,
+                         stf_schedule)
 
 # The 4 x 11 instance, assembled by hand from the row-budget recurrence.
 STF_4_11 = np.array([
@@ -63,12 +63,13 @@ def test_stf_is_unit_norm_tight_and_sparse():
 
 
 def test_stf_validation():
-    with pytest.raises(ValueError):
-        stf(3, 5)
-    with pytest.raises(ValueError):
-        stf(0, 4)
-    with pytest.raises(ValueError):
-        stf_schedule(2, 3)
+    # every 1 <= n < m is in the domain; n < m < 2n builds where the
+    # construction exists
+    for args in ((3, 3), (0, 4), (4, 2)):
+        for build in (stf, stf_schedule):
+            with pytest.raises(ValueError, match="^need 1 <= n < m$"):
+                build(*args)
+    assert stf(3, 5).m == 5 and stf_schedule(2, 3).ones_per_row == (1, 0)
 
 
 def test_stf_is_divisible_known_values():
@@ -118,17 +119,17 @@ def test_low_redundancy_matches_closed_form():
     for n in range(2, 41):
         for m_tilde in range(n + 1, 2 * n):
             if stf_low_redundancy_feasible(n, m_tilde):
-                rep = check_tight(stf_low_redundancy(n, m_tilde), 1e-12)
+                rep = check_tight(stf(n, m_tilde), 1e-12)
                 assert rep.is_tight, (n, m_tilde)
                 assert abs(rep.bound - m_tilde / n) < 1e-12
             else:
                 with pytest.raises(InfeasibleError):
-                    stf_low_redundancy(n, m_tilde)
+                    stf(n, m_tilde)
 
 
 def test_low_redundancy_construction():
     for n, m_tilde in ((2, 3), (4, 7), (6, 9), (6, 10), (5, 9)):
-        phi = stf_low_redundancy(n, m_tilde)
+        phi = stf(n, m_tilde)
         assert phi.m == m_tilde
         assert np.max(np.abs(phi.column_norms() - 1.0)) < 1e-12
         rep = check_tight(phi, 1e-12)
@@ -138,13 +139,12 @@ def test_low_redundancy_construction():
 
 def test_low_redundancy_infeasible_raises():
     with pytest.raises(InfeasibleError):
-        stf_low_redundancy(3, 4)
+        stf(3, 4)
     with pytest.raises(InfeasibleError) as err:
-        stf_low_redundancy(5, 6)
+        stf(5, 6)
     assert "negative budget" in str(err.value)
-    for m_tilde in (4, 8):
-        with pytest.raises(ValueError, match="^need n < m_tilde < 2n$"):
-            stf_low_redundancy(4, m_tilde)
+    with pytest.raises(ValueError, match="^need 1 <= n < m$"):
+        stf(4, 4)
 
 
 def test_factorize_4_11():
@@ -152,7 +152,7 @@ def test_factorize_4_11():
     assert fact.basis_copies == 1
     assert fact.basis_indices == ((1, 5, 8, 11),)
     assert fact.core_indices == (2, 3, 4, 6, 7, 9, 10)
-    reduced = stf_low_redundancy(4, 7)
+    reduced = stf(4, 7)
     assert np.max(np.abs(fact.prime_core.entries - reduced.entries)) < 1e-12
 
 
@@ -200,16 +200,9 @@ def test_factorize_pieces_partition_and_verify():
         rep = check_tight(core, 1e-12)
         assert rep.is_tight and abs(rep.bound - core.m / n) < 1e-12
         assert is_prime_bruteforce(core)
-        if core.m >= 2 * n:
-            assert (columns_as_multiset(core.entries, 12)
-                    == columns_as_multiset(stf(n, core.m).entries, 12))
-        elif core.m > n:
-            assert (columns_as_multiset(core.entries, 12)
-                    == columns_as_multiset(
-                        stf_low_redundancy(n, core.m).entries, 12))
-        else:
-            assert (columns_as_multiset(core.entries, 12)
-                    == columns_as_multiset(np.eye(n), 12))
+        want = stf(n, core.m).entries if core.m > n else np.eye(n)
+        assert (columns_as_multiset(core.entries, 12)
+                == columns_as_multiset(want, 12))
 
 
 # --- the integer bookkeeping against a Fraction oracle ----------------------
@@ -276,10 +269,18 @@ def same_frame(phi, psi):
 
 
 def test_integer_bookkeeping_matches_fraction_oracle():
-    # the shapes include (7, 30), where 1 - r/2 taken in floats is 1 ulp off
+    # the shapes include (7, 30), where 1 - r/2 taken in floats is 1 ulp
+    # off; below m = 2n the oracle's refusals must match too
     for n in range(1, 41):
-        for m in range(2 * n, 4 * n + 3):
-            frame = fraction_assemble(n, m)[0]
+        for m in range(n + 1, 4 * n + 3):
+            try:
+                frame = fraction_assemble(n, m)[0]
+            except InfeasibleError as exc:
+                for build in (stf, stf_schedule):
+                    with pytest.raises(InfeasibleError) as err:
+                        build(n, m)
+                    assert str(err.value) == str(exc), (n, m)
+                continue
             assert same_frame(stf(n, m), frame), (n, m)
             lam, reset, ones, remainders = fraction_schedule(n, m)
             sched = stf_schedule(n, m)
@@ -288,21 +289,14 @@ def test_integer_bookkeeping_matches_fraction_oracle():
             assert json.dumps(sched.to_json_obj()) == json.dumps(
                 TetrisSchedule(n, m, lam, reset, ones,
                                remainders).to_json_obj())
+            if m < 2 * n:
+                continue
             core, copies, core_indices, basis_indices = (
                 fraction_factorize(n, m))
             fact = stf_factorize(n, m)
             assert same_frame(fact.prime_core, core), (n, m)
             assert repr(fact[1:]) == repr((copies, core_indices,
                                            basis_indices)), (n, m)
-        for m_tilde in range(n + 1, 2 * n):
-            try:
-                want = fraction_assemble(n, m_tilde)[0]
-            except InfeasibleError as exc:
-                with pytest.raises(InfeasibleError) as err:
-                    stf_low_redundancy(n, m_tilde)
-                assert str(err.value) == str(exc)
-            else:
-                assert same_frame(stf_low_redundancy(n, m_tilde), want)
 
 
 def test_stf_with_a_million_columns():
