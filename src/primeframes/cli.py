@@ -22,9 +22,10 @@ import numpy as np
 from . import io
 from .divisibility import (is_prime_bruteforce, prime_factor_size_multisets,
                            prime_factorization)
-from .errors import FrameError, NotTightError
-from .frames import (DEFAULT_TOL, check_equiangular, check_tight,
-                     prime_parseval_extension, random_tight_frame)
+from .errors import FrameError
+from .frames import (DEFAULT_TOL, _require_tight, check_equiangular,
+                     check_tight, prime_parseval_extension,
+                     random_tight_frame)
 from .harmonic import HtfParams, divisor_sets, htf, htf_is_prime
 from .tetris import stf, stf_is_divisible, stf_low_redundancy_feasible
 from .transform import analyze_fast, plan, synthesize_fast
@@ -51,11 +52,8 @@ def cmd_frame(args):
 def cmd_analyze(args):
     phi = io.read_frame(args.input)
     tol = args.tol
+    _require_tight(phi.entries, tol)
     report = check_tight(phi, tol)
-    if not report.is_tight:
-        raise NotTightError(
-            "input is not a tight frame (residual %.3e, bound %.6g)"
-            % (report.residual, report.bound))
     payload = {"n": phi.n, "m": phi.m, "field": phi.field, **vars(report)}
     if phi.m >= 2:
         angles = check_equiangular(phi, tol)

@@ -106,7 +106,8 @@ from math import comb, sqrt
 import numpy as np
 
 from .errors import NotTightError, SearchCapError
-from .frames import DEFAULT_TOL, FrameMatrix, _bound_and_residual
+from .frames import (DEFAULT_TOL, FrameMatrix, _bound_and_residual,
+                     _require_tight)
 from .numtheory import check_integers, check_positive, is_int
 
 SEARCH_CAP = 26
@@ -311,17 +312,6 @@ def _accepted(entries: np.ndarray, idx, bound: float, tol: float):
     if residual <= tol and tol < sub_bound < bound - tol:
         return sub_bound
     return None
-
-
-def _require_tight(entries: np.ndarray, tol: float) -> float:
-    """The bound of ``entries``; raise unless tol is valid and it is tight."""
-    check_positive("tol", tol)
-    bound, residual = _bound_and_residual(entries)
-    if not (residual <= tol and bound > tol):
-        raise NotTightError(
-            "input is not a tight frame (residual %.3e, tol %.1e)"
-            % (residual, tol))
-    return bound
 
 
 def _kernel_rows(cols: int, sizes, pinned: bool = True) -> int:

@@ -174,18 +174,27 @@ def check_tight(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> TightnessReport:
                            residual, tol)
 
 
+def _require_tight(entries: np.ndarray, tol: float) -> float:
+    """The bound of ``entries``; raise unless tol is valid and it is tight."""
+    check_positive("tol", tol)
+    bound, residual = _bound_and_residual(entries)
+    if not (residual <= tol and bound > tol):
+        raise NotTightError(
+            "input is not a tight frame (residual %.3e, tol %.1e)"
+            % (residual, tol))
+    return bound
+
+
 def verify_reconstruction(phi: FrameMatrix, x, tol: float = DEFAULT_TOL) -> bool:
     """Check x = (1/A) Phi Phi* x for a tight frame, relative to ||x||."""
-    report = check_tight(phi, tol)
-    if not report.is_tight:
-        raise NotTightError("reconstruction identity needs a tight frame")
+    bound = _require_tight(phi.entries, tol)
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (phi.n,):
         raise ValueError("signal length must equal the frame dimension")
     if not np.isfinite(x).all():
         raise ValueError("signal must be finite")
     coeff = phi.entries.conj().T @ x
-    rebuilt = phi.entries @ coeff / report.bound
+    rebuilt = phi.entries @ coeff / bound
     scale = np.linalg.norm(x)
     if scale == 0.0:
         return bool(np.linalg.norm(rebuilt) <= tol)

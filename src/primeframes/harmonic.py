@@ -269,14 +269,18 @@ def htf_divisor_of_size(params: HtfParams, size: int) -> tuple:
                          % (size, n, m))
     undecided = 0
     for side in sorted({size, m - size}):
-        packed, capped = _pack_size(m, side, sets.minimal_divisors)
-        undecided += capped
-        if packed is None:
-            continue
-        if side == size:
-            return packed
-        taken = set(packed)
-        return tuple(i for i in range(1, m + 1) if i not in taken)
+        for parts in _representations(side, sets.minimal_divisors):
+            try:
+                packed = _pack_cosets(m, parts)
+            except SearchCapError:
+                undecided += 1
+                continue
+            if packed is None:
+                continue
+            if side == size:
+                return packed
+            taken = set(packed)
+            return tuple(i for i in range(1, m + 1) if i not in taken)
     if undecided:
         raise SearchCapError(
             "no coset packing of size %d or %d for (n, m) = (%d, %d) "
@@ -285,21 +289,6 @@ def htf_divisor_of_size(params: HtfParams, size: int) -> tuple:
     raise PackingError(
         "no disjoint coset packing of size %d or %d for (n, m) = (%d, %d)"
         % (size, m - size, n, m))
-
-
-def _pack_size(m: int, size: int, minimal) -> tuple:
-    """(first packing of ``size`` or None, representations left undecided
-    at the cap)."""
-    undecided = 0
-    for parts in _representations(size, minimal):
-        try:
-            packed = _pack_cosets(m, parts)
-        except SearchCapError:
-            undecided += 1
-            continue
-        if packed is not None:
-            return packed, undecided
-    return None, undecided
 
 
 def _pack_cosets(m: int, parts) -> tuple | None:

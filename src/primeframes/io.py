@@ -15,11 +15,12 @@ same as writing each number with ``format(x, ".17g")``.  The CSV readers
 likewise parse each distinct token once, with ``complex()``, when a
 sample of the tokens repeats, as the entries of harmonic and spectral
 tetris frames do; a file of distinct entries is parsed token by token.
-The JSON readers flatten well-formed [re, im] pairs and convert them in
-one pass.  A -0.0 is written "-0", and the JSON readers keep its sign.
-The readers raise ``ValueError``, naming the field where there is one,
-on malformed text, non-finite entries, integers beyond the float range
-and JSON nested too deep to parse.
+The JSON readers convert lists of [re, im] int or float pairs in one
+flat pass and refuse anything else.  A -0.0 is written "-0", and the
+JSON readers keep its sign.  The readers raise ``ValueError``, naming
+the field where there is one, on malformed text, non-finite entries,
+integers beyond the float range and JSON nested too deep to parse.  A
+file's extension, .json or .csv in any case, names its format.
 """
 
 from __future__ import annotations
@@ -161,32 +162,21 @@ def _pair_array(rows, shape: tuple, key: str) -> np.ndarray:
     """Nested JSON lists ``rows`` as a finite float array of ``shape``,
     whose last axis holds [re, im]; raises ValueError naming ``key``.
 
-    Lists of [re, im] pairs of int or float, which is what a well-formed
-    file reads as, are flattened and converted in one pass.  Any other
-    input takes numpy's nested conversion, whose errors, shape and leaf
-    types decide the refusal."""
-    bad = ValueError("field %r must hold [re, im] number pairs" % key)
+    Rows and pairs must be lists or tuples and each pair two ints or
+    floats, not bools; they are flattened and converted in one pass.
+    Anything else is refused unconverted."""
     pairs = rows if len(shape) == 2 else list(chain.from_iterable(rows))
     items = None
     if ((set(map(type, rows)) | set(map(type, pairs))) <= {list, tuple}
             and set(map(len, pairs)) == {2}):
         items = list(chain.from_iterable(pairs))
-        if not set(map(type, items)) <= {int, float}:
-            items = None
+    if items is None or not set(map(type, items)) <= {int, float}:
+        raise ValueError("field %r must hold [re, im] number pairs" % key)
     try:
-        arr = np.array(rows if items is None else items, dtype=np.float64)
+        arr = np.array(items, dtype=np.float64)
     except OverflowError:
         raise ValueError("field %r holds a number beyond the float "
                          "range" % key) from None
-    except (TypeError, ValueError):
-        raise bad from None
-    if items is None:
-        leaves = rows
-        for _ in shape[1:]:
-            leaves = chain.from_iterable(leaves)
-        # np.array converts strings, booleans and null (as NaN) as well
-        if arr.shape != shape or not set(map(type, leaves)) <= {int, float}:
-            raise bad
     if not np.isfinite(arr).all():
         raise ValueError("field %r must hold finite numbers" % key)
     return arr.reshape(shape)
@@ -284,11 +274,7 @@ def vector_from_csv(text: str) -> np.ndarray:
     return vec
 
 
-def _format_of(path: str, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("json", "csv"):
-            raise ValueError("format must be 'json' or 'csv'")
-        return fmt
+def _format_of(path: str) -> str:
     ext = os.path.splitext(path)[1].lower()
     if ext == ".json":
         return "json"
@@ -298,15 +284,15 @@ def _format_of(path: str, fmt: str | None) -> str:
                      ".csv extension" % path)
 
 
-def write_frame(phi: FrameMatrix, path: str, fmt: str | None = None):
-    kind = _format_of(path, fmt)
+def write_frame(phi: FrameMatrix, path: str):
+    kind = _format_of(path)
     text = frame_to_json(phi) if kind == "json" else frame_to_csv(phi)
     with open(path, "w") as handle:
         handle.write(text)
 
 
-def read_frame(path: str, fmt: str | None = None) -> FrameMatrix:
-    kind = _format_of(path, fmt)
+def read_frame(path: str) -> FrameMatrix:
+    kind = _format_of(path)
     with open(path) as handle:
         text = handle.read()
     if kind == "json":
@@ -314,15 +300,15 @@ def read_frame(path: str, fmt: str | None = None) -> FrameMatrix:
     return frame_from_csv(text)
 
 
-def write_vector(vec, path: str, fmt: str | None = None):
-    kind = _format_of(path, fmt)
+def write_vector(vec, path: str):
+    kind = _format_of(path)
     text = vector_to_json(vec) if kind == "json" else vector_to_csv(vec)
     with open(path, "w") as handle:
         handle.write(text)
 
 
-def read_vector(path: str, fmt: str | None = None) -> np.ndarray:
-    kind = _format_of(path, fmt)
+def read_vector(path: str) -> np.ndarray:
+    kind = _format_of(path)
     with open(path) as handle:
         text = handle.read()
     if kind == "json":

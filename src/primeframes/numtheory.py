@@ -23,15 +23,16 @@ def check_integers(**values) -> None:
 
 
 def check_positive(name: str, value):
-    """Return ``value`` if it is a ``numbers.Real`` but not a bool, with
-    0 < value < inf, else raise ValueError naming it.  A string, None, a
-    complex number, a Decimal, NaN, or a Real that does not compare with
-    a float (a timedelta64) is refused instead of raising TypeError."""
+    """Return ``value`` if it is a ``numbers.Real`` but not a bool whose
+    float lies in (0, inf), else raise ValueError naming it.  This
+    refuses a string, None, a complex, a Decimal, NaN, a timedelta64
+    (which has no float), 10**400 (whose float overflows) and
+    Fraction(1, 10**400) (whose float is 0)."""
     try:
         if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and 0.0 < value < math.inf):
+                and 0.0 < float(value) < math.inf):
             return value
-    except TypeError:
+    except (TypeError, OverflowError):
         pass
     raise ValueError("%s must be positive and finite" % name)
 

@@ -27,9 +27,11 @@ then the type of the exception, if the search raises one.  The line
 starting ``io`` hashes the field and entry bytes of every corpus frame
 read back after a round trip through JSON and CSV files, and the
 ``repr`` of the error each reader raises on a fixed list of malformed
-texts.  The last line, starting ``cli``, hashes the argv, exit code,
-stdout and stderr of ``cli.main`` for each argv of CLI_ARGVS, run in
-order in a temporary directory whose path is replaced by a fixed token.
+texts, the last two in files whose extension is neither .json nor .csv
+(the temporary directory's path is replaced by a fixed token).  The
+last line, starting ``cli``, hashes the argv, exit code, stdout and
+stderr of ``cli.main`` for each argv of CLI_ARGVS, run in order in a
+temporary directory whose path is replaced by a fixed token.
 It runs in about a minute.  pytest does not collect this file.
 """
 
@@ -54,7 +56,8 @@ from primeframes.cli import main as cli_main
 from primeframes.io import read_frame, read_vector, write_frame
 
 # (reader, file extension, text): frames and vectors that every reader
-# must refuse, each for its own reason
+# must refuse, each for its own reason; the extension alone names the
+# format, so a .txt or .dat file is refused before it is read
 MALFORMED = (
     (read_frame, "csv", ""),
     (read_frame, "csv", "\n \n"),
@@ -101,6 +104,8 @@ MALFORMED = (
     (read_vector, "json", '{"n": 1, "entries": [[null, 0]]}'),
     (read_vector, "json", '{"n": 2, "entries": [[0, 0], [false, 1]]}'),
     (read_vector, "json", '{"n": 1, "entries": [[0, -1%s]]}' % ("0" * 400)),
+    (read_frame, "txt", ""),
+    (read_vector, "dat", ""),
 )
 
 TOLS = (1e-13, 1e-9, 1e-6)
@@ -289,8 +294,8 @@ def io_lines(frames: dict) -> list:
                 got = repr(read(path))
             except ValueError as exc:
                 got = repr(exc)
-            out.append("%s %s %r -> %s" % (read.__name__, ext, text[:80],
-                                           got))
+            line = "%s %s %r -> %s" % (read.__name__, ext, text[:80], got)
+            out.append(line.replace(folder, "<tmp>"))
     return out
 
 

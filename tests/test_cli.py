@@ -229,6 +229,22 @@ def test_analyze_rejects_non_tight_input(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["analyze", "--input", path])
     assert code == 1 and out == ""
     assert err.startswith("error: input is not a tight frame")
+    # analyze and the searches refuse a frame that is not tight alike
+    assert run_cli(capsys, ["factor", "--input", path]) == (code, out, err)
+    assert err == ("error: input is not a tight frame (residual 4.472e-01, "
+                   "tol 1.0e-09)\n")
+
+
+def test_analyze_of_fewer_vectors_than_dimensions_has_no_welch_bound(
+        tmp_path, capsys):
+    # three coordinate vectors of R^3 cut to two columns: tight at tol 0.6
+    path = os.path.join(tmp_path, "short.json")
+    write_frame(FrameMatrix.from_columns([(1, 0, 0), (0, 1, 0)]), path)
+    code, out, _ = run_cli(capsys, ["analyze", "--input", path,
+                                    "--tol", "0.6"])
+    payload = json.loads(out)
+    assert code == 0 and payload["m"] == 2 and payload["n"] == 3
+    assert payload["welch_bound"] is None
 
 
 def test_analyze_missing_file(capsys):

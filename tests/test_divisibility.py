@@ -275,6 +275,11 @@ def test_search_cap_enforced_and_forceable():
     assert cert.subset == (1, 16)
     assert len(tight_subsets(big, 2)) == 15
     assert len(tight_subsets(big, 2, force=True)) == 15
+    # force lifts the cap, not the bound on what can be enumerated at all
+    with pytest.raises(SearchCapError, match="^112186277816662845432 subsets "
+                       "of size 35 are too many to enumerate$"):
+        tight_subsets(FrameMatrix.from_array(np.ones((1, 70))), 35,
+                      force=True)
 
 
 def test_every_search_of_at_most_26_vectors_fits_the_cap():
@@ -1041,7 +1046,8 @@ def test_survivors_are_redecided_only_inside_the_mu_window(monkeypatch):
     phi = random_tight_frame(3, 16, 0)
     proved, redecided = count_redecisions(
         monkeypatch, lambda: is_prime_bruteforce(phi))
-    assert proved and redecided == 1  # the tightness check of the frame
+    # the tightness check of the frame runs in frames, not here
+    assert proved and redecided == 0
 
 
 @st.composite

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -75,7 +74,8 @@ def oracle_vector_csv(vec) -> str:
 
 # The per-token readers that the bulk readers replaced, kept as the
 # oracle for their values and refusals: one complex() per CSV token, and
-# numpy's nested conversion of JSON pairs.
+# a walk of the JSON pairs' shape and leaf types, then numpy's nested
+# conversion.
 
 def oracle_frame_from_csv(text: str) -> FrameMatrix:
     rows = []
@@ -103,19 +103,19 @@ def oracle_vector_from_csv(text: str) -> np.ndarray:
 
 
 def oracle_pair_array(rows, shape: tuple, key: str) -> np.ndarray:
-    bad = ValueError("field %r must hold [re, im] number pairs" % key)
+    def well_formed(item, dims) -> bool:
+        if not dims:
+            return type(item) in (int, float)
+        return (type(item) in (list, tuple) and len(item) == dims[0]
+                and all(well_formed(x, dims[1:]) for x in item))
+
+    if not well_formed(rows, shape):
+        raise ValueError("field %r must hold [re, im] number pairs" % key)
     try:
         arr = np.array(rows, dtype=np.float64)
     except OverflowError:
         raise ValueError("field %r holds a number beyond the float "
                          "range" % key) from None
-    except (TypeError, ValueError):
-        raise bad from None
-    items = rows
-    for _ in shape[1:]:
-        items = chain.from_iterable(items)
-    if arr.shape != shape or not set(map(type, items)) <= {int, float}:
-        raise bad
     if not np.isfinite(arr).all():
         raise ValueError("field %r must hold finite numbers" % key)
     return arr
@@ -341,10 +341,10 @@ def test_json_pair_refusals_keep_their_messages():
         ([[[1, 0, 0], [1, 0, 0]]], pairs),            # pairs of 3
         ([[[1, 0], [1, 0, 0]]], pairs),
         (deep, pairs),                                # nested too deep
-        ([[[[10 ** 400, 0], [0, 0]]]], "float range"),
+        ([[[[10 ** 400, 0], [0, 0]]]], pairs),        # too deep, then big
         ([[["1", None]]], pairs),                     # string and null
         ([[[None, "a"]]], pairs),
-        ([[[True, 10 ** 400]]], "float range"),       # bool, then a big int
+        ([[[True, 10 ** 400]]], pairs),               # bool, then a big int
         ([[[False, 0.5]]], pairs),
         ([["ab"]], pairs),                            # a string pair
         ([[{"a": 1, "b": 2}]], pairs),                # an object pair
@@ -431,15 +431,6 @@ def test_file_io_infers_format_from_extension(tmp_path):
         json.load(handle)
     with pytest.raises(ValueError):
         write_frame(phi, os.path.join(tmp_path, "frame.txt"))
-
-
-def test_file_io_explicit_format_override(tmp_path):
-    phi = htf(HtfParams(2, 4))
-    path = os.path.join(tmp_path, "frame.dat")
-    write_frame(phi, path, fmt="csv")
-    assert np.array_equal(read_frame(path, fmt="csv").entries, phi.entries)
-    with pytest.raises(ValueError):
-        write_frame(phi, path, fmt="yaml")
 
 
 def test_vector_file_io(tmp_path):
