@@ -11,13 +11,11 @@ harmonic frames for fast analysis and synthesis.
 from .divisibility import (SEARCH_CAP, DivisorCertificate, PrimeFactorization,
                            complement_certificate, find_divisor,
                            is_prime_bruteforce, prime_factor_size_multisets,
-                           prime_factorization,
-                           robustness_counterexample_check, tight_subsets)
+                           prime_factorization, tight_subsets)
 from .errors import (FrameError, InfeasibleError, NotTightError, PackingError,
                      SearchCapError)
-from .frames import (DEFAULT_TOL, EquiangularityReport, EquivalenceData,
-                     FrameMatrix, TightnessReport, apply_equivalence,
-                     canonical_parseval, check_equiangular, check_tight,
+from .frames import (DEFAULT_TOL, EquiangularityReport, FrameMatrix,
+                     TightnessReport, check_equiangular, check_tight,
                      coherence, dft_row_frame, frame_operator,
                      prime_parseval_extension, random_tight_frame,
                      verify_reconstruction, welch_bound)
@@ -36,18 +34,16 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOL", "SEARCH_CAP", "__version__",
     "FrameMatrix", "TightnessReport", "EquiangularityReport",
-    "EquivalenceData", "DivisorCertificate", "PrimeFactorization",
+    "DivisorCertificate", "PrimeFactorization",
     "DivisorSets", "HtfParams", "TetrisSchedule", "StfFactorization",
     "HtfTransformPlan",
     "FrameError", "NotTightError", "InfeasibleError", "PackingError",
     "SearchCapError",
     "frame_operator", "check_tight", "verify_reconstruction",
-    "canonical_parseval", "coherence", "welch_bound", "check_equiangular",
-    "apply_equivalence", "random_tight_frame", "prime_parseval_extension",
-    "dft_row_frame",
+    "coherence", "welch_bound", "check_equiangular",
+    "random_tight_frame", "prime_parseval_extension", "dft_row_frame",
     "find_divisor", "is_prime_bruteforce", "complement_certificate",
     "prime_factorization", "prime_factor_size_multisets", "tight_subsets",
-    "robustness_counterexample_check",
     "htf", "index_coset", "divisor_sets", "is_balancing", "htf_is_prime",
     "htf_prime_factors", "htf_divisor_of_size", "htf_coherence",
     "vanishing_subsum_check",

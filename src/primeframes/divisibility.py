@@ -100,7 +100,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -767,21 +766,3 @@ def tight_subsets(phi: FrameMatrix, size: int, tol: float = DEFAULT_TOL,
                         range(phi.m), (size,), False, np.inf, tol)
     return sorted(tuple(i + 1 for i in part) for part, _ in hits)
 
-
-def robustness_counterexample_check(phi: FrameMatrix, p: int,
-                                    tol: float = DEFAULT_TOL,
-                                    force: bool = False) -> bool:
-    """True when some p-subset of a tight frame fails to be tight.
-
-    For n >= 2 no tight frame has every p-subset tight for p in
-    [n, m - n]; this verifies that non-robustness witness exists.
-    """
-    _require_tight(phi.entries, tol)
-    if phi.n < 2:
-        raise ValueError("needs dimension n >= 2")
-    if not (is_int(p) and phi.n <= p <= phi.m - phi.n):
-        raise ValueError("p must lie in [n, m - n]")
-    _check_budget(phi.n, force, _kernel_rows(phi.m, (p,), False))
-    # the rule of tight_subsets, stopped at the first subset it refuses
-    return any(_accepted(phi.entries, idx, np.inf, tol) is None
-               for idx in combinations(range(phi.m), p))

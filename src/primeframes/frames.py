@@ -133,20 +133,6 @@ class EquiangularityReport:
     welch_bound: float
 
 
-@dataclass(frozen=True, eq=False)
-class EquivalenceData:
-    """A pointwise frame equivalence: psi_i = scalars[i] * U phi[perm[i]].
-
-    ``unitary`` is n x n, ``permutation`` is a 1-based bijection of
-    {1..m}, and ``scalars`` all share one non-zero modulus.  Applying
-    such a map preserves tightness, coherence, and primality verdicts.
-    """
-
-    unitary: np.ndarray
-    permutation: tuple
-    scalars: np.ndarray
-
-
 def _bound_and_residual(entries: np.ndarray) -> tuple[float, float]:
     """Fitted tight bound and relative residual of the frame operator."""
     s = entries @ entries.conj().T
@@ -201,20 +187,6 @@ def verify_reconstruction(phi: FrameMatrix, x, tol: float = DEFAULT_TOL) -> bool
     return bool(np.linalg.norm(rebuilt - x) / scale <= tol)
 
 
-def canonical_parseval(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> FrameMatrix:
-    """The Parseval frame S^{-1/2} Phi associated with a spanning frame."""
-    check_positive("tol", tol)
-    s = frame_operator(phi)
-    eigval, eigvec = np.linalg.eigh(s)
-    if eigval[0] <= tol * eigval[-1]:
-        raise FrameError("columns do not span: smallest eigenvalue %.3e" % eigval[0])
-    inv_root = (eigvec * (1.0 / np.sqrt(eigval))) @ eigvec.conj().T
-    out = inv_root @ phi.entries
-    if phi.field == "real":
-        out = out.real
-    return FrameMatrix(out, phi.field)
-
-
 def coherence(phi: FrameMatrix) -> float:
     """Largest |<phi_k, phi_l>| over distinct columns."""
     if phi.m < 2:
@@ -257,33 +229,6 @@ def check_equiangular(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> Equiangular
         max_abs_inner=float(off.max()),
         welch_bound=wb,
     )
-
-
-def apply_equivalence(phi: FrameMatrix, eq: EquivalenceData,
-                      tol: float = DEFAULT_TOL) -> FrameMatrix:
-    """Apply psi_i = c_i U phi_{perm(i)} after validating the equivalence data."""
-    check_positive("tol", tol)
-    u = np.asarray(eq.unitary, dtype=np.complex128)
-    if u.shape != (phi.n, phi.n):
-        raise ValueError("unitary must be n x n")
-    defect = np.linalg.norm(u @ u.conj().T - np.eye(phi.n))
-    if defect > tol * math.sqrt(phi.n):
-        raise ValueError("matrix is not unitary within tolerance")
-    perm = tuple(eq.permutation)
-    for p in perm:
-        check_integers(permutation=p)
-    if sorted(perm) != list(range(1, phi.m + 1)):
-        raise ValueError("permutation must be a bijection of 1..m")
-    c = np.asarray(eq.scalars, dtype=np.complex128)
-    if c.shape != (phi.m,):
-        raise ValueError("scalars must have length m")
-    moduli = np.abs(c)
-    if not moduli.all():
-        raise ValueError("scalars must be non-zero")
-    if moduli.max() - moduli.min() > tol * max(moduli.max(), 1.0):
-        raise ValueError("scalars must share a common modulus")
-    out = (u @ phi.entries[:, [p - 1 for p in perm]]) * c[None, :]
-    return FrameMatrix.from_array(out)
 
 
 def random_tight_frame(n: int, m: int, seed: int) -> FrameMatrix:

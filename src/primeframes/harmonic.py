@@ -376,5 +376,7 @@ def vanishing_subsum_check(m: int, subset, power: int) -> bool:
     idx = sorted(int(j) for j in idx)
     if not idx or idx[0] < 1 or idx[-1] > m:
         raise ValueError("subset must be nonempty with indices in 1..m")
+    if len(set(idx)) != len(idx):
+        raise ValueError("subset has repeated indices")
     total = _root_powers(m, [power * (j - 1) for j in idx]).sum()
     return bool(abs(total) <= 1e-10)

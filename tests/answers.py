@@ -7,11 +7,11 @@ frame, so two trees can be compared line for line:
     PYTHONPATH=<tree>/src python tests/answers.py
 
 The corpus holds seeded random frames (n = 2-4, m <= 20), harmonic
-frames (m <= 24), spectral tetris frames (n <= 12, 2n <= m <= 4n + 2),
-DFT-row and prime Parseval frames, stacks of ``np.eye`` and of a rotated
-basis, planted splits, frames with repeated or zero columns, and two
-refusals (a frame that is not tight, one over the search cap).  Entry
-points:
+frames (m <= 24; those of prime m <= 19 once more, labelled ``dft``),
+spectral tetris frames (n <= 12, 2n <= m <= 4n + 2), prime Parseval
+frames, stacks of ``np.eye`` and of a rotated basis, planted splits,
+frames with repeated or zero columns, and two refusals (a frame that is
+not tight, one over the search cap).  Entry points:
 ``is_prime_bruteforce``; ``find_divisor`` unfiltered and at every valid
 ``size_filter`` for m <= 16; ``prime_factorization``;
 ``prime_factor_size_multisets`` for m <= 12; ``tight_subsets`` at every
@@ -33,6 +33,14 @@ last line, starting ``cli``, hashes the argv, exit code, stdout and
 stderr of ``cli.main`` for each argv of CLI_ARGVS, run in order in a
 temporary directory whose path is replaced by a fixed token.
 It runs in about a minute.  pytest does not collect this file.
+
+The first line names the Python and numpy minor versions, since a
+numpy release may change a scalar ``repr``.  ``tests/answers.txt`` holds
+that line and the 23 hash lines as CI's fingerprint step expects them;
+a change that moves an answer on purpose regenerates it with
+
+    PYTHONPATH=src python -W error::RuntimeWarning tests/answers.py |
+        grep -E '^(# python |tol=|pack |path |io |cli )' > tests/answers.txt
 """
 
 from __future__ import annotations
@@ -41,17 +49,17 @@ import contextlib
 import hashlib
 import io
 import os
+import sys
 import tempfile
 import time
 
 import numpy as np
 
-from primeframes import (FrameMatrix, HtfParams, dft_row_frame, divisibility,
-                         divisor_sets, find_divisor, htf, htf_divisor_of_size,
-                         is_prime_bruteforce,
-                         prime_factor_size_multisets, prime_factorization,
-                         prime_parseval_extension, random_tight_frame, stf,
-                         tight_subsets)
+from primeframes import (FrameMatrix, HtfParams, divisibility, divisor_sets,
+                         find_divisor, htf, htf_divisor_of_size,
+                         is_prime_bruteforce, prime_factor_size_multisets,
+                         prime_factorization, prime_parseval_extension,
+                         random_tight_frame, stf, tight_subsets)
 from primeframes.cli import main as cli_main
 from primeframes.io import read_frame, read_vector, write_frame
 
@@ -165,7 +173,7 @@ def corpus() -> dict:
     for n in (2, 3, 4):
         for p in (5, 7, 11, 13, 17, 19):
             if p >= 2 * n:
-                frames["dft(%d, %d)" % (n, p)] = dft_row_frame(n, p)
+                frames["dft(%d, %d)" % (n, p)] = htf(HtfParams(n, p))
     for n, ms in ((2, range(5, 10)), (3, range(7, 14)), (4, range(9, 15))):
         for m in ms:
             frames["parseval(%d, %d)" % (n, m)] = (
@@ -329,6 +337,8 @@ def digest(lines) -> str:
 
 def main():
     start = time.perf_counter()
+    print("# python %d.%d, numpy %s" % (*sys.version_info[:2], ".".join(
+        np.__version__.split(".")[:2])))
     frames = corpus()
     for tol in TOLS:
         for name, lines in answers(frames, tol).items():

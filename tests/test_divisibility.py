@@ -11,15 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import hexagon_frame, mercedes_frame, random_unitary
-from primeframes import (EquivalenceData, FrameMatrix, HtfParams,
-                         NotTightError, PackingError, apply_equivalence,
+from primeframes import (FrameMatrix, HtfParams, NotTightError, PackingError,
                          PrimeFactorization, SearchCapError, check_tight,
                          complement_certificate, dft_row_frame, divisor_sets,
                          find_divisor, htf, htf_divisor_of_size, htf_is_prime,
                          is_prime_bruteforce, prime_factor_size_multisets,
                          prime_factorization, prime_parseval_extension,
-                         random_tight_frame, robustness_counterexample_check,
-                         stf, stf_is_divisible, tight_subsets)
+                         random_tight_frame, stf, stf_is_divisible,
+                         tight_subsets)
 from primeframes import divisibility
 from primeframes.divisibility import _FIRST_CHUNK, _coordinates
 from primeframes.frames import _bound_and_residual
@@ -213,53 +212,17 @@ def test_tight_subsets_hexagon():
         tight_subsets(hexagon_frame(), 3.0)
 
 
-def test_robustness_counterexample_always_found(monkeypatch):
-    assert robustness_counterexample_check(hexagon_frame(), 3)
-    assert robustness_counterexample_check(hexagon_frame(), 2)
-    assert robustness_counterexample_check(htf(HtfParams(2, 4)), 2)
+def test_robustness_counterexample_always_found():
+    # for n >= 2 no tight frame has every p-subset tight, p in [n, m - n]
+    assert len(tight_subsets(hexagon_frame(), 3)) < comb(6, 3)
+    assert len(tight_subsets(hexagon_frame(), 2)) < comb(6, 2)
     for m in range(4, 9):
         phi = htf(HtfParams(2, m))
         for p in range(2, m - 1):
-            assert robustness_counterexample_check(phi, p)
-            # the early exit agrees with listing every tight p-subset
-            for tol in (1e-9, 0.9):
-                assert robustness_counterexample_check(phi, p, tol) == (
-                    len(tight_subsets(phi, p, tol)) < comb(m, p))
-    # tol 0.9 accepts every p-subset here: the walk visits them all
+            assert len(tight_subsets(phi, p)) < comb(m, p)
+    # tol 0.9 accepts every p-subset here
     for m, p in ((4, 2), (6, 3), (5, 2)):
-        assert not robustness_counterexample_check(htf(HtfParams(2, m)), p,
-                                                   0.9)
-    with pytest.raises(ValueError):
-        robustness_counterexample_check(htf(HtfParams(1, 3)), 1)
-    with pytest.raises(ValueError):
-        robustness_counterexample_check(hexagon_frame(), 5)
-    with pytest.raises(ValueError):
-        robustness_counterexample_check(hexagon_frame(), 3.0)
-    # C(30, 15) subsets are over the cap; forced, the first one answers
-    big = htf(HtfParams(2, 30))
-    with pytest.raises(SearchCapError):
-        robustness_counterexample_check(big, 15)
-    assert robustness_counterexample_check(big, 15, force=True)
-    # the first 13-subset of htf(4, 26) is not tight: one evaluation for
-    # the whole frame and one for that subset, and no pool of the
-    # C(26, 13) subsets screened by the kernel
-    calls = []
-    screened = []
-
-    def counted(entries):
-        calls.append(1)
-        return _bound_and_residual(entries)
-
-    def counted_blocks(*args):
-        for picks in subset_blocks(*args):
-            screened.append(len(picks))
-            yield picks
-
-    subset_blocks = divisibility._subset_blocks
-    monkeypatch.setattr(divisibility, "_bound_and_residual", counted)
-    monkeypatch.setattr(divisibility, "_subset_blocks", counted_blocks)
-    assert robustness_counterexample_check(htf(HtfParams(4, 26)), 13)
-    assert len(calls) < 10 and sum(screened) == 0
+        assert len(tight_subsets(htf(HtfParams(2, m)), p, 0.9)) == comb(m, p)
 
 
 def test_search_cap_enforced_and_forceable():
@@ -1065,10 +1028,10 @@ def equivalent_frames(draw):
         phi = planted_split(n, a, m - a, seed)
     rng = np.random.default_rng(seed)
     scale = draw(st.floats(0.5, 2.0))
-    eq = EquivalenceData(random_unitary(rng, n),
-                         tuple(int(i) + 1 for i in rng.permutation(m)),
-                         scale * np.exp(2j * np.pi * rng.random(m)))
-    return phi, apply_equivalence(phi, eq)
+    u = random_unitary(rng, n)
+    perm = rng.permutation(m)
+    c = scale * np.exp(2j * np.pi * rng.random(m))
+    return phi, FrameMatrix.from_array((u @ phi.entries[:, perm]) * c)
 
 
 @given(equivalent_frames())

@@ -4,22 +4,48 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+import primeframes
 from conftest import hexagon_frame, mercedes_frame, random_unitary
-from primeframes import (EquivalenceData, FrameMatrix, NotTightError,
-                         FrameError, apply_equivalence, canonical_parseval,
-                         check_equiangular, check_tight, coherence,
+from primeframes import (FrameMatrix, NotTightError, check_equiangular,
+                         check_tight, coherence, complement_certificate,
                          dft_row_frame, find_divisor, frame_operator, htf,
                          HtfParams, InfeasibleError, is_prime_bruteforce,
-                         htf_prime_factors, prime_parseval_extension,
+                         htf_prime_factors, prime_factor_size_multisets,
+                         prime_factorization, prime_parseval_extension,
                          random_tight_frame, stf, stf_factorize,
-                         verify_reconstruction, welch_bound)
+                         tight_subsets, verify_reconstruction, welch_bound)
 from primeframes.frames import _bound_and_residual
 from primeframes.io import (frame_from_csv, frame_from_json_obj, frame_to_csv,
                             frame_to_json_obj)
+
+LIBRARY_SURFACE = [
+    "DEFAULT_TOL", "DivisorCertificate", "DivisorSets",
+    "EquiangularityReport", "FrameError", "FrameMatrix", "HtfParams",
+    "HtfTransformPlan", "InfeasibleError", "NotTightError", "PackingError",
+    "PrimeFactorization", "SEARCH_CAP", "SearchCapError", "StfFactorization",
+    "TetrisSchedule", "TightnessReport", "__version__", "analyze_fast",
+    "analyze_naive", "check_equiangular", "check_tight", "coherence",
+    "complement_certificate", "dft_row_frame", "divisor_sets",
+    "find_divisor", "frame_operator", "htf", "htf_coherence",
+    "htf_divisor_of_size", "htf_is_prime", "htf_prime_factors",
+    "index_coset", "is_balancing", "is_prime_bruteforce", "plan",
+    "prime_factor_size_multisets", "prime_factorization",
+    "prime_parseval_extension", "random_tight_frame", "stf",
+    "stf_factorize", "stf_is_divisible", "stf_low_redundancy_feasible",
+    "stf_schedule", "synthesize_fast", "tight_subsets",
+    "vanishing_subsum_check", "verify_reconstruction", "welch_bound",
+]
+
+
+def test_library_surface_is_pinned():
+    # a public name that is added, dropped or renamed changes __all__; a
+    # name left in __all__ after its definition went fails to resolve
+    assert sorted(primeframes.__all__) == LIBRARY_SURFACE
+    for name in LIBRARY_SURFACE:
+        assert hasattr(primeframes, name), name
 
 
 def test_frame_matrix_validation():
@@ -119,12 +145,17 @@ def test_check_tight_rejects_non_finite_tol():
 PHI_2_6 = htf(HtfParams(2, 6))
 TOL_TAKERS = [
     ("check_tight", lambda tol: check_tight(PHI_2_6, tol)),
-    ("canonical_parseval", lambda tol: canonical_parseval(PHI_2_6, tol)),
     ("check_equiangular", lambda tol: check_equiangular(PHI_2_6, tol)),
-    ("apply_equivalence", lambda tol: apply_equivalence(
-        PHI_2_6, EquivalenceData(np.eye(2), tuple(range(1, 7)), np.ones(6)),
-        tol)),
+    ("verify_reconstruction",
+     lambda tol: verify_reconstruction(PHI_2_6, [1.0, 2.0], tol)),
+    ("complement_certificate",
+     lambda tol: complement_certificate(PHI_2_6, (1, 4), tol)),
     ("find_divisor", lambda tol: find_divisor(PHI_2_6, tol=tol)),
+    ("is_prime_bruteforce", lambda tol: is_prime_bruteforce(PHI_2_6, tol)),
+    ("prime_factorization", lambda tol: prime_factorization(PHI_2_6, tol)),
+    ("prime_factor_size_multisets",
+     lambda tol: prime_factor_size_multisets(PHI_2_6, tol)),
+    ("tight_subsets", lambda tol: tight_subsets(PHI_2_6, 2, tol)),
 ]
 # 10**400 overflows a float and Fraction(1, 10**400) underflows to 0.0;
 # a timedelta64 has no float
@@ -139,8 +170,8 @@ BAD_TOLS = [True, np.True_, "a", None, 1j, np.complex128(1e-3), -1.0, 0,
                          ids=[repr(t)[:24] for t in BAD_TOLS])
 def test_every_tol_follows_one_rule(name, call, tol):
     # a bool once ran as tol 1.0 and a string or None ended in TypeError;
-    # canonical_parseval, check_equiangular and apply_equivalence ran at
-    # whatever tol they were given; 10**400 ended in OverflowError
+    # check_equiangular ran at whatever tol it was given; 10**400 ended in
+    # OverflowError
     with pytest.raises(ValueError, match="^tol must be positive and finite$"):
         call(tol)
     for good in (1e-9, np.float64(1e-9), np.float32(1e-6)):
@@ -191,48 +222,6 @@ def test_reconstruction_across_constructions():
             assert verify_reconstruction(phi, x, 1e-10)
 
 
-def test_canonical_parseval_tight_input_rescales():
-    psi = canonical_parseval(FrameMatrix.from_array(2.0 * np.eye(2)))
-    assert np.max(np.abs(psi.entries - np.eye(2))) < 1e-12
-    psi = canonical_parseval(htf(HtfParams(2, 4)))
-    assert np.max(np.abs(psi.entries - htf(HtfParams(2, 4, 0.5)).entries)) < 1e-12
-
-
-def test_canonical_parseval_general_input():
-    phi = FrameMatrix.from_columns([(1, 0), (0, 1), (1, 1)])
-    psi = canonical_parseval(phi)
-    gram = psi.entries @ psi.entries.conj().T
-    assert np.max(np.abs(gram - np.eye(2))) < 1e-12
-    # independent route: multiplying back by sqrtm(S) must restore phi
-    root = scipy.linalg.sqrtm(frame_operator(phi))
-    assert np.max(np.abs(root @ psi.entries - phi.entries)) < 1e-10
-    assert psi.field == "real"
-
-
-def test_canonical_parseval_many_spanning_frames():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = rng.integers(1, 5)
-        m = rng.integers(n, n + 6)
-        raw = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        psi = canonical_parseval(FrameMatrix.from_array(raw))
-        rep = check_tight(psi, 1e-10)
-        assert rep.is_tight and abs(rep.bound - 1.0) < 1e-10
-
-
-@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
-def test_canonical_parseval_spans_at_any_scale(scale):
-    phi = FrameMatrix(scale * htf(HtfParams(3, 7)).entries, "complex")
-    rep = check_tight(canonical_parseval(phi))
-    assert rep.is_tight and abs(rep.bound - 1.0) < 1e-10
-
-
-def test_canonical_parseval_rejects_rank_deficient():
-    flat = FrameMatrix.from_columns([(1, 0), (2, 0), (3, 0)])
-    with pytest.raises(FrameError):
-        canonical_parseval(flat)
-
-
 def test_coherence_values():
     assert coherence(FrameMatrix.from_array(np.eye(3))) == 0.0
     assert abs(coherence(htf(HtfParams(2, 4))) - 1 / math.sqrt(2)) < 1e-13
@@ -272,29 +261,6 @@ def test_equiangularity_reports():
         check_equiangular(FrameMatrix.from_columns([(1, 0)]))
 
 
-def test_apply_equivalence_identity_and_permutation():
-    phi = htf(HtfParams(2, 4))
-    eq = EquivalenceData(np.eye(2), (1, 2, 3, 4), np.ones(4))
-    assert np.max(np.abs(apply_equivalence(phi, eq).entries - phi.entries)) < 1e-15
-    eq = EquivalenceData(np.eye(2), (4, 3, 2, 1), np.ones(4))
-    psi = apply_equivalence(phi, eq)
-    assert np.max(np.abs(psi.entries - phi.entries[:, ::-1])) < 1e-15
-
-
-def test_apply_equivalence_validation():
-    phi = htf(HtfParams(2, 4))
-    for unitary, perm, scalars, message in (
-            (2 * np.eye(2), (1, 2, 3, 4), np.ones(4), "not unitary"),
-            (np.eye(3), (1, 2, 3, 4), np.ones(4), "unitary must be n x n"),
-            (np.eye(2), (1, 1, 3, 4), np.ones(4), "permutation must be a"),
-            (np.eye(2), (1, 2, 3, 4), np.array([1, 1, 1, 2.0]),
-             "scalars must share"),
-            (np.eye(2), (1, 2, 3, 4), np.ones(3), "scalars must have length"),
-            (np.eye(2), (1, 2, 3, 4), np.zeros(4), "scalars must be non-zero")):
-        with pytest.raises(ValueError, match=message):
-            apply_equivalence(phi, EquivalenceData(unitary, perm, scalars))
-
-
 def test_equivalence_preserves_frame_invariants():
     rng = np.random.default_rng(17)
     for phi in (htf(HtfParams(2, 5)), htf(HtfParams(2, 6)),
@@ -303,11 +269,11 @@ def test_equivalence_preserves_frame_invariants():
         mu = coherence(phi)
         prime = is_prime_bruteforce(phi)
         for _ in range(20):
-            perm = tuple(rng.permutation(phi.m) + 1)
+            # psi_i = c U phi_perm(i), with one unimodular scalar c
+            perm = rng.permutation(phi.m)
             scalar = np.exp(2j * np.pi * rng.random())
-            eq = EquivalenceData(random_unitary(rng, phi.n), perm,
-                                 np.full(phi.m, scalar))
-            psi = apply_equivalence(phi, eq)
+            psi = FrameMatrix.from_array(
+                (random_unitary(rng, phi.n) @ phi.entries[:, perm]) * scalar)
             rep = check_tight(psi)
             assert rep.is_tight and abs(rep.bound - bound) < 1e-10
             assert abs(coherence(psi) - mu) < 1e-10
