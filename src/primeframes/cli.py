@@ -58,8 +58,6 @@ def cmd_analyze(args):
     if phi.m >= 2:
         angles = check_equiangular(phi, tol)
         payload.update(coherence=angles.max_abs_inner, **vars(angles))
-        if phi.m < phi.n:
-            payload["welch_bound"] = None
     if args.factor:
         payload.update(prime_factorization(phi, tol, args.force).to_json_obj())
     _emit_obj(payload, args)

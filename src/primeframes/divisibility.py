@@ -30,12 +30,13 @@ screen's rounding error is about m sqrt(n) machine epsilon relative to
 ||S_J|| and to B, far below delta, so for any tol > 0 no subset that the
 exact rule accepts is screened out.  Answers, first certificates and the
 meaning of tol are those of checking every subset with the exact rule.
-Within one size, ascending bitmask order is colex rank order.  A pool of
-at most _TABLE_WIDTH columns takes one block per run of consecutive
-sizes, a slice of a read-only table of all its subsets by size and then
-bitmask.  Wider pools unrank chunks through the combinatorial number
-system; chunks start small and grow, so a search that ends at an early
-certificate stays cheap, and a size class is never held in memory whole.
+Within one size, ascending bitmask order is colex rank order.  Every
+search asks for one range of sizes.  A pool of at most _TABLE_WIDTH
+columns takes it in one block, a slice of a read-only table of all its
+subsets by size and then bitmask.  Wider pools unrank chunks through
+the combinatorial number system; chunks start small and grow, so a
+search that ends at an early certificate stays cheap, and a size class
+is never held in memory whole.
 
 The reduction path (pivot reduction) decides primality and the first
 certificate with far fewer rows.  Let C be the matrix whose columns are
@@ -77,11 +78,11 @@ n(n+1)/2 - 1 for real and n^2 - 1 for complex frames, and coordinates
 that stay at rounding level on every column add no pivot.
 
 Both paths yield accepted subsets in the kernel's order, and a
-first-divisor search, over every size or some, returns the first: the
-kernel yields them all (it alone lists them), the reduction the least
-one or, for a prime frame, none.  The search takes the reduction when mu
-< 1/4 and it costs fewer kernel rows than the kernel's subset count for
-those sizes: 2^(m-r-1) rows plus its set-up, first with the most pivots
+first-divisor search, over every size in [n, m - n], returns the first:
+the kernel yields them all (it alone lists them), the reduction the
+least one or, for a prime frame, none.  The search takes the reduction
+when mu < 1/4 and it costs fewer kernel rows than the kernel's subset
+count: 2^(m-r-1) rows plus its set-up, first with the most pivots
 possible (before the Gram matrix is built), then with the pivots found.
 Its chunks start at 2^_LOW_BITS rows and double.  After a chunk with an
 accepted subset, it compares the rows it has left with the kernel rows
@@ -92,8 +93,7 @@ which reaches the first certificate at or before that subset.
 Unless forced, a search is refused over _BUDGET rows (no search of at
 most SEARCH_CAP vectors is) or SEARCH_CAP dimensions (before set-up).
 The rows counted are the whole enumeration of the path taken, so a
-size-restricted search whose first rows hold a certificate can still be
-refused.
+search whose first rows hold a certificate can still be refused.
 """
 
 from __future__ import annotations
@@ -243,17 +243,14 @@ def _subset_table(width: int) -> tuple:
             tuple(count[order].searchsorted(np.arange(width + 2)).tolist()))
 
 
-def _subset_blocks(width: int, sizes, lead: int):
+def _subset_blocks(width: int, sizes: range, lead: int):
     """0/1 rows of the subsets of size s - ``lead`` for s in ``sizes`` of a
-    pool of ``width`` columns, by colex rank within one size, in blocks: a
-    slice of the table per run of consecutive sizes, or unranked chunks."""
+    pool of ``width`` columns, by colex rank within one size, in blocks:
+    one slice of the table, or unranked chunks."""
     if width <= _TABLE_WIDTH:
-        table, starts = _subset_table(width)
-        ks = [size - lead for size in sizes]
-        # one slice per run of consecutive sizes
-        cuts = [i for i, k in enumerate(ks) if i == 0 or k != ks[i - 1] + 1]
-        for a, b in zip(cuts, cuts[1:] + [len(ks)]):
-            yield table[starts[ks[a]]:starts[ks[b - 1] + 1]]
+        if sizes:
+            table, starts = _subset_table(width)
+            yield table[starts[sizes[0] - lead]:starts[sizes[-1] + 1 - lead]]
         return
     chunk = _FIRST_CHUNK
     for size in sizes:
@@ -273,8 +270,8 @@ def _tight_parts(entries, coords, cols, sizes, pinned, bound, tol):
     """Every subset of ``cols`` that the exact rule accepts, in search order.
 
     ``cols`` are ascending 0-based column indices of ``entries`` and
-    ``coords`` is ``_coordinates(entries)``.  Sizes come in the given
-    order; with ``pinned`` every subset holds cols[0].  Within one size
+    ``coords`` is ``_coordinates(entries)``.  Sizes come from the range
+    ``sizes``; with ``pinned`` every subset holds cols[0].  Within one size
     the subsets go by ascending colex rank over the other columns.
     Yields (ascending index list, subset bound) for each subset with
     relative residual <= tol and tol < bound < ``bound`` - tol.
@@ -452,7 +449,7 @@ def _members(code, shifted, free, pivots):
 
 def _ordered(codes, bits, shifted, rows, free, pivots, sizes):
     """Member positions of the assignments ``codes[rows]`` that have a
-    size in ``sizes``, by ascending (size, bitmask).
+    size in the range ``sizes``, by ascending (size, bitmask).
 
     ``bits`` and ``shifted`` hold one column per assignment: its free
     bits, and forced @ x_f + 1/2 on the pivots.  A few are ordered in
@@ -470,7 +467,7 @@ def _ordered(codes, bits, shifted, rows, free, pivots, sizes):
     size = bits.sum(axis=0)
     size += negative.sum(axis=0)
     size += 1
-    rows = rows[np.isin(size[rows], sizes)]
+    rows = rows[(sizes[0] <= size[rows]) & (size[rows] <= sizes[-1])]
     keys = []
     for low in range(0, len(free) + len(pivots) + 1, 62):
         # position q weighs 2^(q - low) in the word from low
@@ -562,7 +559,7 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction, kernel):
         step = min(2 * step, max(1, _REDUCTION_CHUNK >> low))
         if best is not None and start < blocks:
             members = best[1]
-            reach = _kernel_rows(width + 1, sizes[:sizes.index(len(members))])
+            reach = _kernel_rows(width + 1, range(sizes[0], len(members)))
             reach += sum(comb(p - 1, j) for j, p in enumerate(members) if j)
             if (blocks - start) << low > reach + 1:
                 yield from kernel
@@ -571,18 +568,17 @@ def _reduction_search(entries, cols, sizes, bound, tol, reduction, kernel):
         yield [cols[i] for i in best[1]], best[2]
 
 
-def _first_divisor(entries, cols, bound, tol, force, coordinates=None,
-                   sizes=None):
+def _first_divisor(entries, cols, bound, tol, force, coordinates=None):
     """First divisor of the frame on ``cols`` (0-based, ascending) with
     bound ``bound``, as (index list, subset bound, complement bound), or
     None if prime.
 
-    Subsets hold cols[0] and go by size, then ascending bitmask, over the
-    ascending ``sizes``, by default every size in [n, len(cols) - n].
-    Fewer than 2n columns are prime unsearched (the smaller part could
-    not span).  The kernel's generator, which enumerates nothing until
-    asked, gives way to the reduction's when that costs fewer kernel
-    rows; ``_check_budget`` gets the rows of the path taken.
+    Subsets hold cols[0] and go by size, every size in [n, len(cols) - n]
+    ascending, then ascending bitmask.  Fewer than 2n columns are prime
+    unsearched (the smaller part could not span).  The kernel's
+    generator, which enumerates nothing until asked, gives way to the
+    reduction's when that costs fewer kernel rows; ``_check_budget`` gets
+    the rows of the path taken.
     ``coordinates(entries)`` is ``_coordinates(entries)``, by default.
     """
     n, width = entries.shape[0], len(cols) - 1
@@ -590,7 +586,7 @@ def _first_divisor(entries, cols, bound, tol, force, coordinates=None,
         return None
     _check_budget(n, force)  # the dimension rule, before set-up
     coords = (coordinates or _coordinates)(entries)
-    sizes = sizes or range(n, width - n + 2)
+    sizes = range(n, width - n + 2)
     rows = _kernel_rows(width + 1, sizes)
     found = _tight_parts(entries, coords, cols, sizes, True, bound, tol)
     if tol < 1.0 and _reduction_rows(width,
@@ -607,24 +603,16 @@ def _first_divisor(entries, cols, bound, tol, force, coordinates=None,
     return None
 
 
-def find_divisor(phi: FrameMatrix, size_filter: int | None = None,
-                 tol: float = DEFAULT_TOL, force: bool = False):
+def find_divisor(phi: FrameMatrix, tol: float = DEFAULT_TOL,
+                 force: bool = False):
     """First tight proper subset splitting the bound, or None if prime.
 
     Only subsets containing column 1 are visited: the complement of a
     divisor is a divisor, so one of the pair always contains column 1.
-    With ``size_filter`` the search is restricted to that size and its
-    complement size.  Returns a DivisorCertificate or None.
+    Returns a DivisorCertificate or None.
     """
     bound = _require_tight(phi.entries, tol)
-    n, m = phi.n, phi.m
-    sizes = None
-    if size_filter is not None:
-        if not (is_int(size_filter) and n <= size_filter <= m - n):
-            raise ValueError("size_filter must lie in [n, m - n]")
-        sizes = sorted({size_filter, m - size_filter})
-    found = _first_divisor(phi.entries, range(m), bound, tol, force,
-                           sizes=sizes)
+    found = _first_divisor(phi.entries, range(phi.m), bound, tol, force)
     if found is None:
         return None
     part, sub_bound, _ = found
@@ -716,6 +704,8 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     Returns sorted tuples, e.g. [(2, 2, 2, 2, 2), (5, 5)].  A tight part P
     of a remainder is prime unless an earlier listed part q lies inside P
     with |q| <= |P| - n and A_q < A_P - tol; the first is P's first divisor.
+    A remainder that fails the tightness check raises, as in
+    ``prime_factorization``.
     """
     _require_tight(phi.entries, tol)
     n, entries = phi.n, phi.entries
@@ -731,7 +721,7 @@ def prime_factor_size_multisets(phi: FrameMatrix, tol: float = DEFAULT_TOL,
     def solve(rem: tuple) -> set:
         if rem in memo:
             return memo[rem]
-        parent_bound = _bound_and_residual(entries[:, rem])[0]
+        parent_bound = _check_complement(entries, rem, (), tol)
         out, listed = set(), []
         for part, part_bound in _tight_parts(
                 entries, coords, rem, range(n, len(rem) - n + 1), True,
@@ -761,8 +751,9 @@ def tight_subsets(phi: FrameMatrix, size: int, tol: float = DEFAULT_TOL,
     if not (is_int(size) and 1 <= size <= phi.m):
         raise ValueError("size out of range")
     check_positive("tol", tol)
-    _check_budget(phi.n, force, _kernel_rows(phi.m, (size,), False))
+    sizes = range(size, size + 1)
+    _check_budget(phi.n, force, _kernel_rows(phi.m, sizes, False))
     hits = _tight_parts(phi.entries, _coordinates(phi.entries),
-                        range(phi.m), (size,), False, np.inf, tol)
+                        range(phi.m), sizes, False, np.inf, tol)
     return sorted(tuple(i + 1 for i in part) for part, _ in hits)
 

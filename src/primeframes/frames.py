@@ -130,7 +130,7 @@ class EquiangularityReport:
     is_equiangular: bool
     common_angle: float
     max_abs_inner: float
-    welch_bound: float
+    welch_bound: float | None
 
 
 def _bound_and_residual(entries: np.ndarray) -> tuple[float, float]:
@@ -210,7 +210,8 @@ def check_equiangular(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> Equiangular
 
     Equiangular means all pairwise |<phi_k, phi_l>| agree within tol and
     all norms are 1 within tol.  ``common_angle`` is the mean pairwise
-    modulus, meaningful only when is_equiangular holds.
+    modulus, meaningful only when is_equiangular holds.  ``welch_bound``
+    is None when m < n, where the Welch bound is not defined.
     """
     check_positive("tol", tol)
     if phi.m < 2:
@@ -221,7 +222,7 @@ def check_equiangular(phi: FrameMatrix, tol: float = DEFAULT_TOL) -> Equiangular
     mags = np.abs(gram)
     off = mags[~np.eye(phi.m, dtype=bool)]
     spread = float(off.max() - off.min())
-    wb = welch_bound(phi.n, phi.m) if phi.m >= phi.n else 0.0
+    wb = welch_bound(phi.n, phi.m) if phi.m >= phi.n else None
     return EquiangularityReport(
         is_unit_norm=unit,
         is_equiangular=bool(unit and spread <= tol),

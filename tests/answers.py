@@ -12,16 +12,15 @@ spectral tetris frames (n <= 12, 2n <= m <= 4n + 2), prime Parseval
 frames, stacks of ``np.eye`` and of a rotated basis, planted splits,
 frames with repeated or zero columns, and two refusals (a frame that is
 not tight, one over the search cap).  Entry points:
-``is_prime_bruteforce``; ``find_divisor`` unfiltered and at every valid
-``size_filter`` for m <= 16; ``prime_factorization``;
+``is_prime_bruteforce``; ``find_divisor``; ``prime_factorization``;
 ``prime_factor_size_multisets`` for m <= 12; ``tight_subsets`` at every
 size for m <= 14.
 
 Two more lines, starting ``pack``, hash ``htf_divisor_of_size`` at every
 divisible size of every (n, m) with 2 <= n <= m/2 and m <= 120, one for
 the sizes s <= m/2 and one for s > m/2.  The line starting ``path``
-hashes which path the unfiltered ``find_divisor`` search takes on every
-corpus frame at every tol: the kernel or the pivot reduction with its
+hashes which path the ``find_divisor`` search takes on every corpus
+frame at every tol: the kernel or the pivot reduction with its
 pivot count r (which also sets the rows the search cap is charged),
 then the type of the exception, if the search raises one.  The line
 starting ``io`` hashes the field and entry bytes of every corpus frame
@@ -36,7 +35,7 @@ It runs in about a minute.  pytest does not collect this file.
 
 The first line names the Python and numpy minor versions, since a
 numpy release may change a scalar ``repr``.  ``tests/answers.txt`` holds
-that line and the 23 hash lines as CI's fingerprint step expects them;
+that line and the 20 hash lines as CI's fingerprint step expects them;
 a change that moves an answer on purpose regenerates it with
 
     PYTHONPATH=src python -W error::RuntimeWarning tests/answers.py |
@@ -219,9 +218,8 @@ def outcome(call, *args, **kwargs) -> str:
 def answers(frames: dict, tol: float) -> dict:
     """Per entry point, one line per (frame, arguments) asked."""
     out = {name: [] for name in (
-        "is_prime_bruteforce", "find_divisor", "find_divisor(size_filter)",
-        "prime_factorization", "prime_factor_size_multisets",
-        "tight_subsets")}
+        "is_prime_bruteforce", "find_divisor", "prime_factorization",
+        "prime_factor_size_multisets", "tight_subsets")}
     for key, phi in frames.items():
         def ask(name, call, *args, **kwargs):
             out[name].append("%s %s %s -> %s" % (
@@ -229,10 +227,6 @@ def answers(frames: dict, tol: float) -> dict:
 
         ask("is_prime_bruteforce", is_prime_bruteforce, tol)
         ask("find_divisor", find_divisor, tol=tol)
-        if phi.m <= 16:
-            for size in range(phi.n, phi.m - phi.n + 1):
-                ask("find_divisor(size_filter)", find_divisor,
-                    size_filter=size, tol=tol)
         ask("prime_factorization", prime_factorization, tol)
         if phi.m <= 12:
             ask("prime_factor_size_multisets", prime_factor_size_multisets,
@@ -256,8 +250,8 @@ def packings() -> dict:
 
 
 def path_lines(frames: dict) -> list:
-    """The path of each unfiltered first-divisor search, frame by frame
-    and tol by tol."""
+    """The path of each first-divisor search, frame by frame and tol by
+    tol."""
     out, taken = [], []
     search = divisibility._reduction_search
 

@@ -501,6 +501,18 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["D"] == [3]
 
 
+def test_library_and_cli_import_no_test_dependency():
+    # pyproject.toml declares numpy as the only dependency; the suite's
+    # scipy and hypothesis are made unimportable in a child interpreter
+    code = ("import sys\n"
+            "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+            "import primeframes, primeframes.cli\n"
+            "sys.exit(primeframes.cli.main(['sets', '--n', '3', '--m', '24']))\n")
+    proc = run_subprocess([sys.executable, "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["m"] == 24
+
+
 def write_declared_console_script(tmp_path):
     """Write the launcher pip installs for the `primeframes` command that
     pyproject.toml declares, so the declaration is tested without an install."""

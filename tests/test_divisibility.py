@@ -66,27 +66,26 @@ def test_complement_that_fails_its_check_is_an_error():
     phi = FrameMatrix.from_array(np.array([[10, 0, 1, 0.05],
                                            [0, 10, 0, 1.0]]))
     assert check_tight(phi, 1e-3).is_tight
-    for call in (find_divisor, prime_factorization):
+    # the census checks each remainder as the searches check a complement
+    for call in (find_divisor, prime_factorization,
+                 prime_factor_size_multisets):
         with pytest.raises(NotTightError,
                            match="^complement failed its tightness check$"):
             call(phi, tol=1e-3)
+    # a listing makes no split, so it keeps the one-sided part
+    assert tight_subsets(phi, 2, 1e-3) == [(1, 2)]
 
 
-def test_find_divisor_size_filter():
+def test_find_divisor_takes_the_arguments_of_the_other_searches():
+    # every first-divisor search asks about every size in [n, m - n]
+    for call in (find_divisor, is_prime_bruteforce, prime_factorization):
+        params = inspect.signature(call).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            ("phi", inspect.Parameter.empty), ("tol", 1e-9), ("force", False)]
     phi = htf(HtfParams(2, 10))
-    cert = find_divisor(phi, size_filter=2)
-    assert cert.subset == (1, 6) and cert.size == 2
-    assert abs(cert.bound - 1.0) < 1e-12
-    assert abs(cert.complement_bound - 4.0) < 1e-12
-    # the complement size names the same split, smaller half reported first
-    assert find_divisor(phi, size_filter=8).size == 2
-    assert find_divisor(hexagon_frame(), size_filter=3).subset == (1, 2, 3)
-    with pytest.raises(ValueError):
-        find_divisor(phi, size_filter=1)
-    with pytest.raises(ValueError):
-        find_divisor(phi, size_filter=9)
-    with pytest.raises(ValueError):
-        find_divisor(phi, size_filter=2.0)
+    assert find_divisor(phi, 1e-9, True) == find_divisor(phi)
+    with pytest.raises(TypeError):
+        find_divisor(phi, size_filter=2)
 
 
 def test_bound_split_sums_to_parent():
@@ -338,7 +337,7 @@ def ascending_masks(pool, k):
                   key=lambda c: sum(1 << pool.index(i) for i in c))
 
 
-def reference_find_divisor(phi, tol, sizes=None):
+def reference_find_divisor(phi, tol):
     """Per-subset loop in the documented order: sizes ascending, column 1
     pinned, masks ascending; the first accepted subset is certified."""
     entries = phi.entries
@@ -346,10 +345,8 @@ def reference_find_divisor(phi, tol, sizes=None):
     if not report.is_tight:
         raise NotTightError("not tight")
     bound = report.bound
-    if sizes is None:
-        sizes = range(phi.n, phi.m - phi.n + 1)
     pool = list(range(1, phi.m))
-    for size in sizes:
+    for size in range(phi.n, phi.m - phi.n + 1):
         for tail in ascending_masks(pool, size - 1):
             idx0 = (0,) + tail
             if exact_rule(entries, idx0, bound, tol)[0]:
@@ -442,11 +439,6 @@ def test_kernel_find_divisor_matches_per_subset_loop(tol):
     for phi in equivalence_frames():
         got = outcome(find_divisor, phi, tol=tol)
         assert got == outcome(reference_find_divisor, phi, tol)
-        if phi.n <= phi.m // 2 <= phi.m - phi.n:
-            half = phi.m // 2
-            sizes = sorted({half, phi.m - half})
-            assert (outcome(find_divisor, phi, size_filter=half, tol=tol)
-                    == outcome(reference_find_divisor, phi, tol, sizes))
 
 
 @pytest.mark.parametrize("tol", EQUIVALENCE_TOLS)
@@ -559,13 +551,14 @@ def test_kernel_memory_stays_bounded(monkeypatch):
     # C(23, 11) = 1,352,078 subsets of size 12 holding column 1; holding
     # them all at once would take hundreds of MB
     phi = random_tight_frame(3, 24, 0)
-    with monkeypatch.context() as patch:
-        kernel_only(patch)
-        value, peak = peak_memory(lambda: find_divisor(phi, size_filter=12))
-    assert value is None and peak < 32 * 2 ** 20
-    # unpatched, the search takes the reduction, within the same bound
+    coords = _coordinates(phi.entries)
+    value, peak = peak_memory(lambda: list(divisibility._tight_parts(
+        phi.entries, coords, range(24), range(12, 13), True,
+        check_tight(phi).bound, 1e-9)))
+    assert value == [] and peak < 32 * 2 ** 20
+    # the search of every size takes the reduction, within the same bound
     monkeypatch.setattr(divisibility, "_tight_parts", no_kernel)
-    value, peak = peak_memory(lambda: find_divisor(phi, size_filter=12))
+    value, peak = peak_memory(lambda: find_divisor(phi))
     assert value is None and peak < 32 * 2 ** 20
 
 
@@ -849,18 +842,18 @@ def test_reduction_gives_certificates_without_the_kernel(monkeypatch):
 
 
 def test_restricted_searches_take_the_reduction(monkeypatch):
-    # the kernel would take C(27, 13) rows for (3, 28, 0) at size 14 and
-    # C(29, 14) rows, over the search cap, for (4, 30, 0) at size 15; the
-    # reduction takes 2^22 and 2^20
+    # the kernel would take about 2^27 rows for (3, 28, 0) and 2^29 for
+    # (4, 30, 0), both over the search cap; the reduction takes 2^22 and
+    # 2^20
     split = planted_split(3, 10, 10, 3)
     kernel_only(monkeypatch)
-    expected = find_divisor(split, size_filter=10)
+    expected = find_divisor(split)
     monkeypatch.undo()
     monkeypatch.setattr(divisibility, "_tight_parts", no_kernel)
     assert expected is not None
-    assert find_divisor(split, size_filter=10) == expected
-    assert find_divisor(random_tight_frame(3, 28, 0), size_filter=14) is None
-    assert find_divisor(random_tight_frame(4, 30, 0), size_filter=15) is None
+    assert find_divisor(split) == expected
+    assert find_divisor(random_tight_frame(3, 28, 0)) is None
+    assert find_divisor(random_tight_frame(4, 30, 0)) is None
 
 
 def test_reduction_hands_over_on_divisor_rich_frames():
@@ -1070,10 +1063,8 @@ def divisible_frames(draw):
 @given(divisible_frames())
 def test_certificates_match_the_kernel(phi):
     def outcomes(tol):
-        return ([outcome(find_divisor, phi, tol=tol),
-                 outcome(prime_factorization, phi, tol)]
-                + [outcome(find_divisor, phi, size_filter=size, tol=tol)
-                   for size in range(phi.n, phi.m - phi.n + 1)])
+        return [outcome(find_divisor, phi, tol=tol),
+                outcome(prime_factorization, phi, tol)]
 
     for tol in EQUIVALENCE_TOLS:
         got = outcomes(tol)
@@ -1254,11 +1245,11 @@ def test_divisor_rich_frames_stay_fast(monkeypatch):
               htf(HtfParams(2, 16)), stf(4, 17)]
     cases = [(call, phi, {}) for phi in frames
              for call in (find_divisor, prime_factorization)]
-    # a size-restricted search that hands over.  Its traceless coordinates
-    # have rank 3, so the reduction takes 2^28 rows and the kernel
-    # C(31, 15), both over the search cap: it is forced
+    # a search that hands over.  Its traceless coordinates have rank 3, so
+    # the reduction takes 2^28 rows and the kernel about 2^31, both over
+    # the search cap: it is forced
     cases.append((find_divisor, FrameMatrix.from_array(
-        np.hstack([np.eye(4)] * 8)), {"size_filter": 16, "force": True}))
+        np.hstack([np.eye(4)] * 8)), {"force": True}))
     got = []
     for call, phi, kwargs in cases:
         seconds, value = best_time(lambda: call(phi, **kwargs))
@@ -1289,11 +1280,11 @@ def test_size_class_tables_match_unranking(monkeypatch):
     assert divisibility._bit_columns.cache_info().currsize == 0
     assert sum(divisibility._subset_table(width)[0].nbytes
                for width in range(limit + 1)) < 750_000
-    assert list(divisibility._subset_blocks(limit, (), 0)) == []
-    # table blocks and unranked chunks are the same subsets
-    for sizes, lead in (((5,), 0), ((3, 4, 5, 9), 1), ((4, 8), 0)):
+    assert list(divisibility._subset_blocks(limit, range(0), 0)) == []
+    # a table block and unranked chunks are the same subsets
+    for sizes, lead in ((range(5, 6), 0), (range(3, 10), 1), (range(4, 9), 0)):
         sliced = list(divisibility._subset_blocks(limit, sizes, lead))
-        assert len(sliced) == 2 - (len(sizes) == 1)
+        assert len(sliced) == 1
         with monkeypatch.context() as patch:
             patch.setattr(divisibility, "_TABLE_WIDTH", -1)
             unranked = list(divisibility._subset_blocks(limit, sizes, lead))
@@ -1313,9 +1304,9 @@ def test_size_class_tables_match_unranking(monkeypatch):
 
 
 def test_one_pass_kernel_matches_unranked_chunks(monkeypatch):
-    # pools of 0 .. _TABLE_WIDTH columns, pinned or not, over contiguous
-    # sizes, a size with its complement and single sizes: one pass over
-    # the table yields what unranked chunks yield, in the same order
+    # pools of 0 .. _TABLE_WIDTH columns, pinned or not, over ranges of
+    # sizes and single sizes: one pass over the table yields what
+    # unranked chunks yield, in the same order
     limit = divisibility._TABLE_WIDTH
     frames = [planted_split(2, 6, 7, 1),
               FrameMatrix.from_array(np.hstack([np.eye(2)] * 7)[:, 1:])]
@@ -1326,10 +1317,9 @@ def test_one_pass_kernel_matches_unranked_chunks(monkeypatch):
         for width in range(limit + 1):
             for pinned in (False, True):
                 m = width + pinned
-                third, half = max(pinned, m // 3), max(pinned, m // 2)
+                half = max(pinned, m // 2)
                 for sizes in (range(pinned, m + 1), range(2, m - 1),
-                              sorted({s for s in (third, m - third)
-                                      if s >= pinned}), [half]):
+                              range(half, half + 1)):
                     for bound in (np.inf, check_tight(phi).bound):
                         cases.append((phi.entries, coords,
                                       range(phi.m - m, phi.m), sizes, pinned,

@@ -257,6 +257,9 @@ def test_equiangularity_reports():
     assert rep.is_unit_norm and not rep.is_equiangular
     rep = check_equiangular(FrameMatrix.from_array(np.eye(3)))
     assert rep.is_equiangular and rep.common_angle == 0.0
+    # the Welch bound needs m >= n; below it the report names no bound
+    rep = check_equiangular(FrameMatrix.from_columns([(1, 0, 0), (0, 1, 0)]))
+    assert rep.is_equiangular and rep.welch_bound is None
     with pytest.raises(ValueError, match="^equiangularity needs at least two"):
         check_equiangular(FrameMatrix.from_columns([(1, 0)]))
 
