@@ -5,8 +5,10 @@ sets, factor and transform write what their library calls return.  The
 rest do more than one call: analyze adds equiangularity and, with
 --factor, a prime factorization to the tightness check; grid checks the
 closed forms against the subset search.  Every subcommand writes a
-machine-readable payload (JSON by default, CSV for matrices on request)
-to stdout or --output.  Exit codes: 0 on success, 1 on a domain error
+machine-readable payload to stdout or --output.  A frame, vector or grid
+file takes the form its extension names (io.form_of); --format names
+the form on stdout, JSON when unset, and a --format that disagrees with
+--output is refused.  The other payloads are JSON.  Exit codes: 0 on success, 1 on a domain error
 (infeasible construction, non-tight input, bad parameters, a refused
 search, no memory, numeric overflow), 2 on a usage error.
 """
@@ -33,10 +35,22 @@ from .transform import analyze_fast, plan, synthesize_fast
 
 def _write(text: str, path):
     if path:
-        with open(path, "w") as handle:
-            handle.write(text)
+        io.write_text(path, text)
     else:
         sys.stdout.write(text)
+
+
+def _form(args) -> str:
+    """The form --output's extension names, else --format's on stdout,
+    JSON when unset; a --format naming another form than --output's
+    extension is refused."""
+    form = args.format or "json"
+    if args.output is not None:
+        form = io.form_of(args.output)
+        if args.format not in (None, form):
+            raise ValueError("--format %s disagrees with --output %r"
+                             % (args.format, args.output))
+    return form
 
 
 def _emit_obj(obj, args):
@@ -44,7 +58,7 @@ def _emit_obj(obj, args):
 
 
 def cmd_frame(args):
-    writer = io.frame_to_csv if args.format == "csv" else io.frame_to_json
+    writer = io.FRAME_WRITERS[_form(args)]
     _write(writer(args.build(args)), args.output)
     return 0
 
@@ -81,13 +95,10 @@ def cmd_sets(args):
 
 
 def cmd_transform(args):
+    writer = io.VECTOR_WRITERS[_form(args)]
     tplan = plan(args.n, args.m, args.p)
     vec = io.read_vector(args.input)
-    if args.analyze:
-        out = analyze_fast(tplan, vec)
-    else:
-        out = synthesize_fast(tplan, vec)
-    writer = io.vector_to_csv if args.format == "csv" else io.vector_to_json
+    out = (analyze_fast if args.analyze else synthesize_fast)(tplan, vec)
     _write(writer(out), args.output)
     return 0
 
@@ -97,6 +108,7 @@ _GRID_COLUMNS = ("n", "m", "htf_prime", "htf_prime_brute", "stf_divisible",
 
 
 def cmd_grid(args):
+    form = _form(args)
     if args.nmax < 2 or args.mmax < 2:
         raise ValueError("need nmax >= 2 and mmax >= 2")
     rows = []
@@ -123,7 +135,7 @@ def cmd_grid(args):
             elif m > n:
                 row["stf_lowred_feasible"] = stf_low_redundancy_feasible(n, m)
             rows.append(row)
-    if args.format == "csv":
+    if form == "csv":
         lines = [",".join(_GRID_COLUMNS)] + [
             ",".join("" if row[key] is None else str(row[key]).lower()
                      for key in _GRID_COLUMNS) for row in rows]
@@ -133,9 +145,12 @@ def cmd_grid(args):
     return 0
 
 
-def _add_frame_output(sub):
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--output", default=None)
+def _add_format(sub, output=True):
+    sub.add_argument("--format", choices=("json", "csv"),
+                     help="the form on stdout, JSON when unset; --output "
+                          "takes the form its extension names")
+    if output:
+        sub.add_argument("--output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,30 +170,23 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--input", required=True)
     source.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    sub = subs.add_parser("htf", parents=[shape],
-                          help="harmonic tight frame matrix")
-    sub.add_argument("--s", type=float, default=1.0)
-    _add_frame_output(sub)
-    sub.set_defaults(handler=cmd_frame,
-                     build=lambda a: htf(HtfParams(a.n, a.m, a.s)))
-
-    sub = subs.add_parser("stf", parents=[shape],
-                          help="sparse (spectral tetris) tight frame")
-    _add_frame_output(sub)
-    sub.set_defaults(handler=cmd_frame, build=lambda a: stf(a.n, a.m))
-
-    sub = subs.add_parser("random", parents=[shape],
-                          help="random real tight frame, bound 1")
-    sub.add_argument("--seed", type=int, required=True)
-    _add_frame_output(sub)
-    sub.set_defaults(handler=cmd_frame,
-                     build=lambda a: random_tight_frame(a.n, a.m, a.seed))
-
-    sub = subs.add_parser("extendprime", parents=[shape],
-                          help="prime Parseval frame of m vectors in R^n")
-    _add_frame_output(sub)
-    sub.set_defaults(handler=cmd_frame,
-                     build=lambda a: prime_parseval_extension(a.n, a.m))
+    # (name, help, options before --format, frame built from the args)
+    for name, summary, options, build in (
+            ("htf", "harmonic tight frame matrix",
+             {"--s": dict(type=float, default=1.0)},
+             lambda a: htf(HtfParams(a.n, a.m, a.s))),
+            ("stf", "sparse (spectral tetris) tight frame", {},
+             lambda a: stf(a.n, a.m)),
+            ("random", "random real tight frame, bound 1",
+             {"--seed": dict(type=int, required=True)},
+             lambda a: random_tight_frame(a.n, a.m, a.seed)),
+            ("extendprime", "prime Parseval frame of m vectors in R^n", {},
+             lambda a: prime_parseval_extension(a.n, a.m))):
+        sub = subs.add_parser(name, parents=[shape], help=summary)
+        for flag, kwargs in options.items():
+            sub.add_argument(flag, **kwargs)
+        _add_format(sub)
+        sub.set_defaults(handler=cmd_frame, build=build)
 
     sub = subs.add_parser("analyze", parents=[search, source],
                           help="diagnostics for a tight frame file")
@@ -204,14 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     direction.add_argument("--analyze", action="store_true")
     direction.add_argument("--synthesize", action="store_true")
     sub.add_argument("--input", required=True)
-    _add_frame_output(sub)
+    _add_format(sub)
     sub.set_defaults(handler=cmd_transform)
 
     sub = subs.add_parser("grid", parents=[search],
                           help="primality/divisibility table over a grid")
     sub.add_argument("--nmax", type=int, required=True)
     sub.add_argument("--mmax", type=int, required=True)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_format(sub, output=False)
     sub.set_defaults(handler=cmd_grid)
 
     return parser

@@ -9,18 +9,20 @@ with one inner list of [re, im] pairs per column.  The CSV format has
 one matrix row per line of comma-separated "re+imj" tokens.  Vectors
 use {"n": len, "entries": [[re, im], ...]} and a single CSV line.
 
-The writers format each array in one ``%`` pass over a template built
-from its shape, formatting each distinct float once; the text is the
-same as writing each number with ``format(x, ".17g")``.  The CSV readers
-likewise parse each distinct token once, with ``complex()``, when a
-sample of the tokens repeats, as the entries of harmonic and spectral
-tetris frames do; a file of distinct entries is parsed token by token.
-The JSON readers convert lists of [re, im] int or float pairs in one
-flat pass and refuse anything else.  A -0.0 is written "-0", and the
-JSON readers keep its sign.  The readers raise ``ValueError``, naming
-the field where there is one, on malformed text, non-finite entries,
-integers beyond the float range and JSON nested too deep to parse.  A
-file's extension, .json or .csv in any case, names its format.
+The writers format each distinct float once (``_texts``), and the CSV
+readers parse each distinct token once when a sample of the tokens
+repeats (``_complexes``); the text and the values are those of
+``format(x, ".17g")`` and ``complex()`` per number.  The JSON readers
+convert lists of [re, im] int or float pairs in one flat pass and refuse
+anything else.  A -0.0 is written "-0", and the JSON readers keep its
+sign.  The readers raise ``ValueError``, naming the field where there is
+one, on malformed text, non-finite entries, integers beyond the float
+range and JSON nested too deep to parse.
+
+A file's extension, .json or .csv in any case, names its form:
+``form_of`` is the one lookup, and refuses any other extension before a
+file is opened.  Files are written as UTF-8 and read as UTF-8 with or
+without a byte-order mark, whatever the locale.
 """
 
 from __future__ import annotations
@@ -73,44 +75,26 @@ def _csv_text(entries: np.ndarray) -> str:
 def dumps(obj) -> str:
     """JSON text with floats at 17 significant digits; a real float
     ``ndarray`` is written as nested lists."""
-    out = []
-    _emit(obj, out)
-    return "".join(out)
-
-
-def _emit(o, out):
-    if isinstance(o, (bool, np.bool_)) or o is None:
-        out.append("null" if o is None else ("true" if o else "false"))
-    elif isinstance(o, (int, np.integer)):
-        out.append(str(int(o)))
-    elif isinstance(o, (float, np.floating)):
-        if not math.isfinite(o):
+    if isinstance(obj, (bool, np.bool_)) or obj is None:
+        return "null" if obj is None else ("true" if obj else "false")
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
             raise ValueError("cannot serialize a non-finite number")
-        out.append("%.17g" % o)
-    elif isinstance(o, np.ndarray) and o.dtype.kind == "f":
-        out.append(_json_array(o))
-    elif isinstance(o, str):
-        out.append(json.dumps(o))
-    elif isinstance(o, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(o):
-            if i:
-                out.append(", ")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(o, dict):
-        out.append("{")
-        for i, (key, val) in enumerate(o.items()):
-            if i:
-                out.append(", ")
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be strings")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _emit(val, out)
-        out.append("}")
-    else:
-        raise TypeError("cannot serialize %r" % type(o))
+        return "%.17g" % obj
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        return _json_array(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(dumps, obj)) + "]"
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be strings")
+        return "{" + ", ".join(json.dumps(key) + ": " + dumps(val)
+                               for key, val in obj.items()) + "}"
+    raise TypeError("cannot serialize %r" % type(obj))
 
 
 # json reads "-0", the text of a -0.0, as the integer 0; this decoder
@@ -274,43 +258,50 @@ def vector_from_csv(text: str) -> np.ndarray:
     return vec
 
 
-def _format_of(path: str) -> str:
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".json":
-        return "json"
-    if ext == ".csv":
-        return "csv"
-    raise ValueError("cannot infer format from %r: expected a .json or "
-                     ".csv extension" % path)
+_FORMS = {".json": "json", ".csv": "csv"}
+
+
+def form_of(path: str) -> str:
+    """The form, "json" or "csv", that ``path``'s extension names, in
+    any case."""
+    form = _FORMS.get(os.path.splitext(path)[1].lower())
+    if form is None:
+        raise ValueError("cannot infer format from %r: expected a .json or "
+                         ".csv extension" % path)
+    return form
+
+
+def write_text(path: str, text: str):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _read_text(path: str) -> str:
+    """The file's text; a UTF-8 byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as handle:
+        return handle.read()
+
+
+# each form's text of a frame or vector, and its reader
+FRAME_WRITERS = {"json": frame_to_json, "csv": frame_to_csv}
+VECTOR_WRITERS = {"json": vector_to_json, "csv": vector_to_csv}
+_FRAME_READERS = {"json": lambda text: frame_from_json_obj(_loads(text)),
+                  "csv": frame_from_csv}
+_VECTOR_READERS = {"json": lambda text: vector_from_json_obj(_loads(text)),
+                   "csv": vector_from_csv}
 
 
 def write_frame(phi: FrameMatrix, path: str):
-    kind = _format_of(path)
-    text = frame_to_json(phi) if kind == "json" else frame_to_csv(phi)
-    with open(path, "w") as handle:
-        handle.write(text)
+    write_text(path, FRAME_WRITERS[form_of(path)](phi))
 
 
 def read_frame(path: str) -> FrameMatrix:
-    kind = _format_of(path)
-    with open(path) as handle:
-        text = handle.read()
-    if kind == "json":
-        return frame_from_json_obj(_loads(text))
-    return frame_from_csv(text)
+    return _FRAME_READERS[form_of(path)](_read_text(path))
 
 
 def write_vector(vec, path: str):
-    kind = _format_of(path)
-    text = vector_to_json(vec) if kind == "json" else vector_to_csv(vec)
-    with open(path, "w") as handle:
-        handle.write(text)
+    write_text(path, VECTOR_WRITERS[form_of(path)](vec))
 
 
 def read_vector(path: str) -> np.ndarray:
-    kind = _format_of(path)
-    with open(path) as handle:
-        text = handle.read()
-    if kind == "json":
-        return vector_from_json_obj(_loads(text))
-    return vector_from_csv(text)
+    return _VECTOR_READERS[form_of(path)](_read_text(path))

@@ -30,16 +30,18 @@ texts, the last two in files whose extension is neither .json nor .csv
 (the temporary directory's path is replaced by a fixed token).  The
 last line, starting ``cli``, hashes the argv, exit code, stdout and
 stderr of ``cli.main`` for each argv of CLI_ARGVS, run in order in a
-temporary directory whose path is replaced by a fixed token.
+temporary directory whose path is replaced by a fixed token.  The line
+starting ``help`` hashes what ``cli.main`` prints for ``--help`` at the
+top level and for each subcommand, under COLUMNS=80 and COLUMNS=200.
 It runs in about a minute.  pytest does not collect this file.
 
 The first line names the Python and numpy minor versions, since a
 numpy release may change a scalar ``repr``.  ``tests/answers.txt`` holds
-that line and the 20 hash lines as CI's fingerprint step expects them;
+that line and the 21 hash lines as CI's fingerprint step expects them;
 a change that moves an answer on purpose regenerates it with
 
     PYTHONPATH=src python -W error::RuntimeWarning tests/answers.py |
-        grep -E '^(# python |tol=|pack |path |io |cli )' > tests/answers.txt
+        grep -E '^(# python |tol=|pack |path |io |cli |help )' > tests/answers.txt
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from primeframes import (FrameMatrix, HtfParams, divisibility, divisor_sets,
                          is_prime_bruteforce, prime_factor_size_multisets,
                          prime_factorization, prime_parseval_extension,
                          random_tight_frame, stf, tight_subsets)
+from primeframes.cli import build_parser
 from primeframes.cli import main as cli_main
 from primeframes.io import read_frame, read_vector, write_frame
 
@@ -325,6 +328,34 @@ def cli_lines() -> list:
     return out
 
 
+def help_lines() -> list:
+    """Each --help text with its width, exit code and output."""
+    command = next(action for action in build_parser()._actions
+                   if action.dest == "command")
+    argvs = [["--help"]] + [[sub, "--help"] for sub in command.choices]
+    out = []
+    columns = os.environ.get("COLUMNS")
+    try:
+        for width in ("80", "200"):
+            os.environ["COLUMNS"] = width
+            for argv in argvs:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(stderr):
+                    try:
+                        code = cli_main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                out.append("%s %r -> %r %r %r" % (
+                    width, argv, code, stdout.getvalue(), stderr.getvalue()))
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return out
+
+
 def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -347,6 +378,8 @@ def main():
     print("io  read_frame, read_vector %16d %s" % (len(lines), digest(lines)))
     lines = cli_lines()
     print("cli main %35d %s" % (len(lines), digest(lines)))
+    lines = help_lines()
+    print("help main --help %27d %s" % (len(lines), digest(lines)))
     print("%d frames in %.1f s" % (len(frames), time.perf_counter() - start))
 
 

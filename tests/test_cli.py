@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import run_subprocess
-from primeframes import FrameMatrix, HtfParams, coherence, htf, stf
+from primeframes import (FrameMatrix, HtfParams, analyze_fast, coherence, htf,
+                         plan, prime_parseval_extension, random_tight_frame,
+                         stf)
 from primeframes.cli import build_parser, main
-from primeframes.io import (frame_from_csv, frame_from_json_obj, read_frame,
-                            read_vector, write_frame, write_vector)
+from primeframes.io import (frame_from_csv, frame_from_json_obj, frame_to_csv,
+                            frame_to_json, read_frame, read_vector,
+                            vector_from_json_obj, vector_to_csv,
+                            vector_to_json, write_frame, write_vector)
 
 GRID_2_6_CSV = """\
 n,m,htf_prime,htf_prime_brute,stf_divisible,stf_divisible_brute,stf_lowred_feasible
@@ -64,19 +68,19 @@ CLI_SURFACE = [
     (["htf", "--n", "2", "--m", "4"],
      "usage: primeframes htf [-h] --n N --m M [--s S] [--format {json,csv}] "
      "[--output OUTPUT]",
-     "command='htf', n=2, m=4, s=1.0, format='json', output=None"),
+     "command='htf', n=2, m=4, s=1.0, format=None, output=None"),
     (["stf", "--n", "4", "--m", "11"],
      "usage: primeframes stf [-h] --n N --m M [--format {json,csv}] "
      "[--output OUTPUT]",
-     "command='stf', n=4, m=11, format='json', output=None"),
+     "command='stf', n=4, m=11, format=None, output=None"),
     (["random", "--n", "3", "--m", "8", "--seed", "0"],
      "usage: primeframes random [-h] --n N --m M --seed SEED "
      "[--format {json,csv}] [--output OUTPUT]",
-     "command='random', n=3, m=8, seed=0, format='json', output=None"),
+     "command='random', n=3, m=8, seed=0, format=None, output=None"),
     (["extendprime", "--n", "3", "--m", "7"],
      "usage: primeframes extendprime [-h] --n N --m M [--format {json,csv}] "
      "[--output OUTPUT]",
-     "command='extendprime', n=3, m=7, format='json', output=None"),
+     "command='extendprime', n=3, m=7, format=None, output=None"),
     (["analyze", "--input", "f.json"],
      "usage: primeframes analyze [-h] [--force] [--output OUTPUT] "
      "--input INPUT [--tol TOL] [--factor]",
@@ -96,12 +100,12 @@ CLI_SURFACE = [
      "(--analyze | --synthesize) --input INPUT [--format {json,csv}] "
      "[--output OUTPUT]",
      "command='transform', n=2, m=10, p=5, analyze=True, synthesize=False, "
-     "input='x.json', format='json', output=None"),
+     "input='x.json', format=None, output=None"),
     (["grid", "--nmax", "3", "--mmax", "12"],
      "usage: primeframes grid [-h] [--force] [--output OUTPUT] "
      "--nmax NMAX --mmax MMAX [--format {json,csv}]",
      "command='grid', force=False, output=None, nmax=3, mmax=12, "
-     "format='json'"),
+     "format=None"),
 ]
 
 
@@ -142,6 +146,92 @@ def test_stf_written_to_file(tmp_path, capsys):
                                     "--format", "csv", "--output", path])
     assert code == 0 and out == ""
     assert np.array_equal(read_frame(path).entries, stf(4, 11).entries)
+
+
+# (argv without --output, the frame it writes)
+FRAME_ARGVS = [
+    (["htf", "--n", "2", "--m", "5"], htf(HtfParams(2, 5))),
+    (["stf", "--n", "4", "--m", "11"], stf(4, 11)),
+    (["random", "--n", "3", "--m", "8", "--seed", "0"],
+     random_tight_frame(3, 8, 0)),
+    (["extendprime", "--n", "3", "--m", "7"], prime_parseval_extension(3, 7)),
+]
+WRITERS = {"json": (frame_to_json, vector_to_json),
+           "csv": (frame_to_csv, vector_to_csv)}
+
+
+@pytest.mark.parametrize("ext", ["json", "csv", "CSV"])
+@pytest.mark.parametrize("argv, phi", FRAME_ARGVS,
+                         ids=[argv[0] for argv, _ in FRAME_ARGVS])
+def test_frame_output_takes_the_form_its_extension_names(
+        tmp_path, capsys, argv, phi, ext):
+    path = os.path.join(tmp_path, "frame." + ext)
+    assert run_cli(capsys, argv + ["--output", path]) == (0, "", "")
+    with open(path) as handle:
+        assert handle.read() == WRITERS[ext.lower()][0](phi)
+    back = read_frame(path)
+    assert back.field == phi.field
+    assert back.entries.tobytes() == phi.entries.tobytes()
+    code, out, err = run_cli(capsys, ["analyze", "--input", path])
+    assert code == 0 and err == ""
+    assert json.loads(out)["m"] == phi.m
+
+
+@pytest.mark.parametrize("ext", ["json", "csv", "CSV"])
+def test_transform_output_takes_the_form_its_extension_names(
+        tmp_path, capsys, monkeypatch, ext):
+    monkeypatch.chdir(tmp_path)
+    x = np.array([1.0, -0.5])
+    write_vector(x, "x.json")
+    argv = ["transform", "--n", "2", "--m", "10", "--p", "5"]
+    assert run_cli(capsys, argv + ["--analyze", "--input", "x.json",
+                                   "--output", "c." + ext]) == (0, "", "")
+    with open("c." + ext) as handle:
+        assert handle.read() == WRITERS[ext.lower()][1](
+            analyze_fast(plan(2, 10, 5), x))
+    code, out, _ = run_cli(capsys, argv + ["--synthesize",
+                                           "--input", "c." + ext])
+    assert code == 0
+    back = vector_from_json_obj(json.loads(out))
+    assert np.max(np.abs(back - x)) < 1e-12
+
+
+@pytest.mark.parametrize("ext", ["json", "csv", "CSV"])
+def test_grid_output_takes_the_form_its_extension_names(tmp_path, capsys,
+                                                        ext):
+    path = os.path.join(tmp_path, "grid." + ext)
+    argv = ["grid", "--nmax", "2", "--mmax", "6"]
+    assert run_cli(capsys, argv + ["--output", path]) == (0, "", "")
+    with open(path) as handle:
+        text = handle.read()
+    if ext == "json":
+        assert text == run_cli(capsys, argv)[1]
+    else:
+        assert text.startswith(GRID_2_6_CSV.splitlines()[0] + "\n")
+        assert text == GRID_2_6_CSV
+
+
+@pytest.mark.parametrize("argv", [
+    ["htf", "--n", "2", "--m", "4", "--output", "f.txt"],
+    ["htf", "--n", "2", "--m", "4", "--format", "csv", "--output", "f.json"],
+    ["stf", "--n", "2", "--m", "5", "--format", "json", "--output", "f.CSV"],
+    ["transform", "--n", "2", "--m", "10", "--p", "5", "--analyze",
+     "--input", "x.json", "--format", "json", "--output", "c.csv"],
+    ["grid", "--nmax", "2", "--mmax", "6", "--format", "csv",
+     "--output", "g.json"],
+    ["grid", "--nmax", "2", "--mmax", "6", "--output", "g"],
+], ids=["htf-txt", "htf-csv-json", "stf-json-CSV", "transform-json-csv",
+        "grid-csv-json", "grid-none"])
+def test_output_form_that_cannot_be_written_is_refused(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    # an unknown extension, or a --format that disagrees with it, is one
+    # error line, and no file is left behind
+    monkeypatch.chdir(tmp_path)
+    write_vector(np.array([1.0, 0.0]), "x.json")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert sorted(os.listdir(tmp_path)) == ["x.json"]
 
 
 def test_stf_low_redundancy_flag(capsys):

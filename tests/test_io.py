@@ -441,6 +441,51 @@ def test_vector_file_io(tmp_path):
         assert np.array_equal(read_vector(path), vec)
 
 
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("ext, text", [
+    ("csv", frame_to_csv(stf(2, 5))),
+    ("json", frame_to_json(stf(2, 5))),
+], ids=["csv", "json"])
+def test_frame_files_read_alike_with_a_byte_order_mark(tmp_path, ext, text):
+    # an editor may save UTF-8 with a BOM; complex() and json refused it
+    paths = [os.path.join(tmp_path, name + "." + ext) for name in ("a", "b")]
+    for path, prefix in zip(paths, ("", BOM)):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(prefix + text)
+    plain, marked = map(read_frame, paths)
+    assert np.array_equal(marked.entries, stf(2, 5).entries)
+    assert marked.field == plain.field and np.array_equal(marked.entries,
+                                                          plain.entries)
+
+
+@pytest.mark.parametrize("ext, text", [
+    ("json", vector_to_json(np.array([0.5 + 0.25j, -2.0]))),
+    ("csv", vector_to_csv(np.array([0.5 + 0.25j, -2.0]))),
+    ("csv", "\n"),
+], ids=["json", "csv", "csv-empty"])
+def test_vector_files_read_alike_with_a_byte_order_mark(tmp_path, ext, text):
+    paths = [os.path.join(tmp_path, name + "." + ext) for name in ("a", "b")]
+    for path, prefix in zip(paths, ("", BOM)):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(prefix + text)
+    plain, marked = map(read_vector, paths)
+    assert marked.dtype == np.complex128 and np.array_equal(marked, plain)
+
+
+def test_files_are_written_as_utf8_without_a_byte_order_mark(tmp_path):
+    for name, write, value in (("f.json", write_frame, stf(2, 5)),
+                               ("f.csv", write_frame, stf(2, 5)),
+                               ("v.json", write_vector, np.ones(3)),
+                               ("v.csv", write_vector, np.ones(3))):
+        path = os.path.join(tmp_path, name)
+        write(value, path)
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        assert not raw.startswith(BOM.encode()) and raw.decode("utf-8")
+
+
 def test_bundled_etf_frame():
     phi = read_frame(os.path.join(DATA_DIR, "etf_3_6.json"))
     assert (phi.n, phi.m, phi.field) == (3, 6, "real")
